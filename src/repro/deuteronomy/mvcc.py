@@ -9,6 +9,7 @@ servable from memory only while that buffer is retained.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +39,9 @@ class VersionStore:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self._versions: Dict[bytes, List[Version]] = {}
+        # (superseding timestamp, key): the key's older versions become
+        # reclaimable once the GC horizon reaches that timestamp.
+        self._reclaim: List[Tuple[int, bytes]] = []
         self._bytes = 0
 
     def add(self, key: bytes, version: Version) -> None:
@@ -50,6 +54,8 @@ class VersionStore:
                 f"version timestamps must increase: {version.timestamp} "
                 f"after {chain[0].timestamp}"
             )
+        if chain:
+            heapq.heappush(self._reclaim, (version.timestamp, key))
         chain.insert(0, version)
         nbytes = version.size_bytes + (len(key) if len(chain) == 1 else 0)
         self.machine.dram.allocate(nbytes, DRAM_TAG)
@@ -86,28 +92,26 @@ class VersionStore:
         """Drop versions no reader can see; returns versions removed.
 
         Keeps, per key, the newest version at or below the horizon (it is
-        still visible) and everything above it.
+        still visible) and everything above it.  Only keys queued with a
+        superseding timestamp at or below the horizon are visited, so the
+        cost is proportional to the versions removed, not the keys held;
+        a trimmed chain always keeps at least one version.
         """
         removed = 0
-        empty_keys = []
-        for key, chain in self._versions.items():
+        reclaim = self._reclaim
+        while reclaim and reclaim[0][0] <= horizon_timestamp:
+            __, key = heapq.heappop(reclaim)
+            chain = self._versions[key]
             keep = len(chain)
             for index, version in enumerate(chain):
                 if version.timestamp <= horizon_timestamp:
                     keep = index + 1
                     break
-            if keep < len(chain):
-                for version in chain[keep:]:
-                    self._bytes -= version.size_bytes
-                    self.machine.dram.free(version.size_bytes, DRAM_TAG)
-                    removed += 1
-                del chain[keep:]
-            if not chain:
-                empty_keys.append(key)
-        for key in empty_keys:
-            del self._versions[key]
-            self._bytes -= len(key)
-            self.machine.dram.free(len(key), DRAM_TAG)
+            for version in chain[keep:]:
+                self._bytes -= version.size_bytes
+                self.machine.dram.free(version.size_bytes, DRAM_TAG)
+                removed += 1
+            del chain[keep:]
         return removed
 
     @property

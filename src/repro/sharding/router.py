@@ -43,7 +43,13 @@ class ShardRouter:
         self.num_shards = num_shards
 
     def shard_for(self, key: bytes) -> int:
-        """The shard owning ``key``; stable across processes and runs."""
+        """The shard owning ``key``; stable across processes and runs.
+
+        Rejects non-``bytes`` keys with the same ``TypeError`` a single
+        engine raises, before the hash would fail on them obscurely.
+        """
+        if not isinstance(key, bytes):
+            raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         return fnv1a_64(key) % self.num_shards
 
     def scatter(

@@ -88,7 +88,7 @@ class DataPageState:
     """
 
     __slots__ = (
-        "page_id", "base", "_base_keys", "deltas",
+        "page_id", "base", "_base_keys", "_base_size", "deltas",
         "flushed_delta_count", "base_flushed",
     )
 
@@ -115,18 +115,21 @@ class DataPageState:
         self.base_flushed = False
 
     def _rebuild_key_index(self) -> None:
+        # ``base`` is only ever replaced wholesale (never mutated in
+        # place), so its key index and byte size are computed here once.
         if self.base is None:
             self._base_keys: Optional[List[bytes]] = None
+            self._base_size = 0
         else:
             self._base_keys = [record.key for record in self.base]
+            self._base_size = PAGE_HEADER_BYTES + sum(
+                r.size_bytes for r in self.base)
 
     # --- size accounting --------------------------------------------------
 
     @property
     def base_size_bytes(self) -> int:
-        if self.base is None:
-            return 0
-        return PAGE_HEADER_BYTES + sum(r.size_bytes for r in self.base)
+        return self._base_size
 
     @property
     def delta_size_bytes(self) -> int:
@@ -157,9 +160,9 @@ class DataPageState:
 
     def drop_base(self) -> int:
         """Evict the base page, keeping deltas resident; returns bytes freed."""
-        freed = self.base_size_bytes
+        freed = self._base_size
         self.base = None
-        self._base_keys = None
+        self._rebuild_key_index()
         return freed
 
     def install_base(self, records: List[Record]) -> int:

@@ -15,6 +15,11 @@ from typing import Iterator, List, Optional, Tuple
 
 from .distributions import KeyChooser, make_chooser
 
+# _VALUE_RUNS[symbol][draw] is the run make_value emits: ``draw + 1``
+# copies of ``0x61 + symbol`` (16 symbols, run lengths 1..8).
+_VALUE_RUNS = [[bytes([0x61 + symbol]) * (draw + 1) for draw in range(8)]
+               for symbol in range(16)]
+
 
 class OpKind(enum.Enum):
     READ = "read"
@@ -134,11 +139,18 @@ class WorkloadGenerator:
         n = self.spec.value_bytes
         if n == 0:
             return b""
+        # Draws exactly what ``randint(1, 8)`` and ``randrange(16)`` would:
+        # the stdlib rejection loop over ``getrandbits(n.bit_length())``.
+        getrandbits = self._value_rng.getrandbits
         out = bytearray()
         while len(out) < n:
-            run = self._value_rng.randint(1, 8)
-            byte = self._value_rng.randrange(16) + 0x61
-            out.extend(bytes([byte]) * run)
+            draw = getrandbits(4)
+            while draw >= 8:
+                draw = getrandbits(4)
+            symbol = getrandbits(5)
+            while symbol >= 16:
+                symbol = getrandbits(5)
+            out += _VALUE_RUNS[symbol][draw]
         return bytes(out[:n])
 
     def load_items(self) -> Iterator[Tuple[bytes, bytes]]:

@@ -1,8 +1,11 @@
 """Version store: visibility, ordering, truncation."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.deuteronomy import Version, VersionStore
+from repro.deuteronomy.mvcc import DRAM_TAG
 from repro.hardware import Machine
 
 
@@ -88,3 +91,72 @@ def test_counts(store):
     store.add(b"b", v(1))
     assert store.key_count() == 2
     assert store.version_count() == 3
+
+
+class SweepStore(VersionStore):
+    """Reference GC: the full per-key sweep incremental GC replaced."""
+
+    def truncate(self, horizon_timestamp: int) -> int:
+        removed = 0
+        empty_keys = []
+        for key, chain in self._versions.items():
+            keep = len(chain)
+            for index, version in enumerate(chain):
+                if version.timestamp <= horizon_timestamp:
+                    keep = index + 1
+                    break
+            if keep < len(chain):
+                for version in chain[keep:]:
+                    self._bytes -= version.size_bytes
+                    self.machine.dram.free(version.size_bytes, DRAM_TAG)
+                    removed += 1
+                del chain[keep:]
+            if not chain:
+                empty_keys.append(key)
+        for key in empty_keys:
+            del self._versions[key]
+            self._bytes -= len(key)
+            self.machine.dram.free(len(key), DRAM_TAG)
+        return removed
+
+
+GC_OPS = st.lists(
+    st.one_of(
+        # (key, timestamp step): per-key timestamps increase, but keys
+        # interleave, so timestamps are not ordered across keys.
+        st.tuples(st.just("add"), st.sampled_from([b"a", b"bb", b"ccc"]),
+                  st.integers(min_value=1, max_value=6)),
+        # Horizons go backwards and below every version.
+        st.tuples(st.just("truncate"), st.none(),
+                  st.integers(min_value=-2, max_value=40)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=GC_OPS)
+def test_incremental_gc_matches_full_sweep(ops):
+    stores = [VersionStore(Machine.paper_default(cores=1)),
+              SweepStore(Machine.paper_default(cores=1))]
+    newest = {}
+    for kind, key, number in ops:
+        if kind == "add":
+            ts = newest.get(key, 0) + number
+            newest[key] = ts
+            for store in stores:
+                store.add(key, Version(ts, b"x" * ts, ts))
+        else:
+            removed = [store.truncate(number) for store in stores]
+            assert removed[0] == removed[1]
+        incremental, sweep = stores
+        assert incremental.version_count() == sweep.version_count()
+        assert incremental.key_count() == sweep.key_count()
+        assert incremental.resident_bytes == sweep.resident_bytes
+        assert incremental.machine.dram.bytes_for(DRAM_TAG) \
+            == sweep.machine.dram.bytes_for(DRAM_TAG) \
+            == sweep.resident_bytes
+        for probe_key in newest:
+            for ts in range(newest[probe_key] + 2):
+                assert incremental.visible(probe_key, ts) \
+                    == sweep.visible(probe_key, ts)

@@ -283,3 +283,38 @@ class TestConstruction:
     def test_shard_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ShardedEngine(3, _shards=[make_single()])
+
+
+class TestKeyValidation:
+    """Non-bytes keys fail with the single engine's TypeError, before
+    the router hashes or counts them."""
+
+    BAD_KEYS = pytest.mark.parametrize("key", ["k", 5])
+
+    def assert_rejected(self, call, key):
+        sharded = make_sharded(2)
+        with pytest.raises(TypeError, match=(
+                f"^keys must be bytes, got {type(key).__name__}$")):
+            call(sharded)
+        assert sharded.counters.get("router.routed_ops") == 0
+
+    @BAD_KEYS
+    def test_get(self, key):
+        self.assert_rejected(lambda fleet: fleet.get(key), key)
+
+    @BAD_KEYS
+    def test_put(self, key):
+        self.assert_rejected(lambda fleet: fleet.put(key, b"v"), key)
+
+    @BAD_KEYS
+    def test_delete(self, key):
+        self.assert_rejected(lambda fleet: fleet.delete(key), key)
+
+    @BAD_KEYS
+    def test_apply_batch(self, key):
+        self.assert_rejected(lambda fleet: fleet.apply_batch(
+            [("put", b"ok", b"v"), ("put", key, b"v")]), key)
+
+    def test_bare_engine_message_matches(self):
+        with pytest.raises(TypeError, match="^keys must be bytes, got str$"):
+            make_single().put("k", b"v")

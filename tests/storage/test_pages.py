@@ -210,6 +210,24 @@ class TestDropInstallBase:
         state.install_base([rec(b"a")])
         assert state.base_flushed
 
+    def test_base_size_tracks_every_base_change(self):
+        def summed(state):
+            if state.base is None:
+                return 0
+            return PAGE_HEADER_BYTES + sum(r.size_bytes for r in state.base)
+
+        state = DataPageState(1, base=[rec(b"a"), rec(b"b", b"long" * 9)])
+        assert state.base_size_bytes == summed(state)
+        state.prepend_delta(up(b"c", b"C" * 20))
+        state.prepend_delta(dl(b"a"))
+        assert state.consolidate() == state.base_size_bytes == summed(state)
+        assert state.drop_base() == summed(
+            DataPageState(1, base=[rec(b"b", b"long" * 9),
+                                   rec(b"c", b"C" * 20)]))
+        assert state.base_size_bytes == 0
+        assert state.install_base([rec(b"x")]) == summed(state)
+        assert state.replace_base([]) == PAGE_HEADER_BYTES
+
 
 class TestPageImage:
     def test_full_image_rejects_deltas(self):

@@ -1,5 +1,8 @@
 """YCSB-style workload specs, generation and application to stores."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.bwtree import BwTree, BwTreeConfig
@@ -51,6 +54,37 @@ class TestGenerator:
         generator = WorkloadGenerator(spec)
         raw = b"".join(v for __, v in generator.load_items())
         assert len(zlib.compress(raw)) < len(raw) * 0.8
+
+    @staticmethod
+    def reference_value(rng: random.Random, n: int) -> bytes:
+        """The stdlib-draw value loop ``make_value`` must reproduce."""
+        if n == 0:
+            return b""
+        out = bytearray()
+        while len(out) < n:
+            run = rng.randint(1, 8)
+            byte = rng.randrange(16) + 0x61
+            out.extend(bytes([byte]) * run)
+        return bytes(out[:n])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("value_bytes", [0, 1, 7, 100, 1000])
+    def test_make_value_matches_stdlib_draws(self, seed, value_bytes):
+        spec = WorkloadSpec(seed=seed, value_bytes=value_bytes)
+        generator = WorkloadGenerator(spec)
+        rng = random.Random(seed ^ 0x5EED)
+        for __ in range(200):
+            assert generator.make_value() \
+                == self.reference_value(rng, value_bytes)
+
+    def test_make_value_golden_digest(self):
+        generator = WorkloadGenerator(WorkloadSpec(seed=1))
+        digest = hashlib.sha256()
+        for __ in range(1000):
+            digest.update(generator.make_value())
+        assert digest.hexdigest() == (
+            "2e1d8e411a8ce9c75dfb5e4d9551374b"
+            "2261ebc0485c324cb8ddca91c20f0529")
 
     def test_operation_mix_matches_fractions(self):
         spec = WorkloadSpec(record_count=1000, read_fraction=0.7,
