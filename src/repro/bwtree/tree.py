@@ -47,6 +47,22 @@ DRAM_TAG_INDEX = "bwtree_index"
 DRAM_TAG_MAPPING = "mapping_table"
 
 
+def validate_key(key: object) -> None:
+    """Reject a key that is not non-empty ``bytes``."""
+    if not isinstance(key, bytes):
+        raise TypeError(f"keys must be bytes, got {type(key).__name__}")
+    if not key:
+        raise ValueError("keys must be non-empty")
+
+
+def validate_value(value: object) -> None:
+    """Reject a value that is not ``bytes``."""
+    if not isinstance(value, bytes):
+        raise TypeError(
+            f"values must be bytes, got {type(value).__name__}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class BwTreeConfig:
     """Tuning knobs; defaults reproduce the paper's configuration."""
@@ -220,7 +236,7 @@ class BwTree:
 
     def get_with_stats(self, key: bytes) -> OpResult:
         """Point lookup returning the value plus cost-relevant facts."""
-        self._validate_key(key)
+        validate_key(key)
         with self.machine.trace_span("bwtree.get", "bwtree"):
             window = self._begin_op()
             entry = self._descend(key)
@@ -274,7 +290,8 @@ class BwTree:
 
     def upsert(self, key: bytes, value: bytes) -> OpResult:
         """Blind upsert: posts a delta without reading the base page."""
-        self._validate_kv(key, value)
+        validate_key(key)
+        validate_value(value)
         with self.machine.trace_span("bwtree.upsert", "bwtree"):
             window = self._begin_op()
             entry = self._descend(key)
@@ -290,7 +307,7 @@ class BwTree:
 
     def delete(self, key: bytes) -> OpResult:
         """Blind delete: posts a tombstone delta without reading the base."""
-        self._validate_key(key)
+        validate_key(key)
         with self.machine.trace_span("bwtree.delete", "bwtree"):
             window = self._begin_op()
             entry = self._descend(key)
@@ -326,12 +343,12 @@ class BwTree:
             for key, value in ops:
                 self.machine.begin_operation()
                 ios_before = result.ios
+                validate_key(key)
                 if value is None:
-                    self._validate_key(key)
                     delta = RecordDelta(DeltaKind.DELETE, key, None,
                                         self._next_timestamp())
                 else:
-                    self._validate_kv(key, value)
+                    validate_value(value)
                     delta = RecordDelta(DeltaKind.UPSERT, key, value,
                                         self._next_timestamp())
                 entry = self._descend(key)
@@ -388,19 +405,6 @@ class BwTree:
         self._maybe_consolidate(entry)
         self._maybe_split(entry)
         self.cache.ensure_capacity(protect={entry.page_id})
-
-    def _validate_key(self, key: bytes) -> None:
-        if not isinstance(key, bytes):
-            raise TypeError(f"keys must be bytes, got {type(key).__name__}")
-        if not key:
-            raise ValueError("keys must be non-empty")
-
-    def _validate_kv(self, key: bytes, value: bytes) -> None:
-        self._validate_key(key)
-        if not isinstance(value, bytes):
-            raise TypeError(
-                f"values must be bytes, got {type(value).__name__}"
-            )
 
     # ------------------------------------------------------------------
     # consolidation / split / merge
@@ -608,7 +612,7 @@ class BwTree:
         Visiting a non-resident leaf costs an SS fetch, exactly like a point
         read.  ``end=None`` scans to the end of the keyspace.
         """
-        self._validate_key(start)
+        validate_key(start)
         emitted = 0
         for entry in self._leaves_from(start):
             # Each leaf visit dispatches like a point read (the docstring
@@ -704,7 +708,8 @@ class BwTree:
             current_bytes = 0
 
         for key, value in items:
-            self._validate_kv(key, value)
+            validate_key(key)
+            validate_value(value)
             if previous_key is not None and key <= previous_key:
                 raise ValueError(
                     "bulk_load input must be strictly key-sorted"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..bwtree.tree import BwTree, BwTreeConfig
+from ..bwtree.tree import BwTree, BwTreeConfig, validate_value
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from .tc import (
@@ -20,6 +20,16 @@ from .tc import (
     TransactionComponent,
     TxnStatus,
 )
+
+
+def _checked_updates(
+    items: Iterable[Tuple[bytes, bytes]],
+) -> Iterator[Tuple[bytes, bytes]]:
+    """``items`` with each value checked as it is consumed: a ``None``
+    value would otherwise be taken as a delete."""
+    for key, value in items:
+        validate_value(value)
+        yield key, value
 
 
 class DeuteronomyEngine:
@@ -110,7 +120,9 @@ class DeuteronomyEngine:
             return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Autocommitted single-key update."""
+        """Autocommitted single-key update (``None`` is rejected: the
+        transaction component would take it as a delete)."""
+        validate_value(value)
         with self.machine.trace_span("engine.put", "engine"):
             self.tc.run_update(key, value)
 
@@ -127,7 +139,7 @@ class DeuteronomyEngine:
         (a later write to the same key wins, exactly like sequential
         ``put`` calls).  Returns one commit timestamp per item."""
         with self.machine.trace_span("engine.multi_put", "engine"):
-            timestamps = self.tc.run_update_batch(items)
+            timestamps = self.tc.run_update_batch(_checked_updates(items))
             assert all(ts is not None for ts in timestamps)
             return timestamps  # type: ignore[return-value]
 

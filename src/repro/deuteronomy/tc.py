@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bwtree.tree import BwTree
+from ..bwtree.tree import BwTree, validate_key, validate_value
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet, Histogram
@@ -424,6 +424,12 @@ class TransactionComponent:
 
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:
+        # Reject bad input before any charge or state change: a write
+        # that got past here would be logged and versioned before the
+        # data component refused it.
+        validate_key(key)
+        if value is not None:
+            validate_value(value)
         self.machine.begin_operation()
         value_len = len(value) if value is not None else 0
         self.machine.cpu.charge("copy_per_byte", len(key) + value_len,
@@ -474,8 +480,12 @@ class TransactionComponent:
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp."""
         txn = self.begin()
-        self.write(txn, key, value)
-        return self.commit(txn)
+        try:
+            self.write(txn, key, value)
+            return self.commit(txn)
+        except BaseException:
+            self._abort_active([txn])
+            raise
 
     def run_update_batch(
         self, items: Iterable[Tuple[bytes, Optional[bytes]]]
@@ -489,12 +499,23 @@ class TransactionComponent:
         log buffers).  Returns one commit timestamp per item.
         """
         self.machine.cpu.charge("op_dispatch", category="tc")
-        txns = []
-        for key, value in items:
-            txn = self.begin()
-            self._buffer_write(txn, key, value)
-            txns.append(txn)
-        return self.commit_batch(txns, sequential=True)
+        txns: List[Transaction] = []
+        try:
+            for key, value in items:
+                txn = self.begin()
+                txns.append(txn)
+                self._buffer_write(txn, key, value)
+            return self.commit_batch(txns, sequential=True)
+        except BaseException:
+            self._abort_active(txns)
+            raise
+
+    def _abort_active(self, txns: Iterable[Transaction]) -> None:
+        """Abort whichever of ``txns`` a failed one-shot left active, so
+        no dangling transaction pins the version-GC horizon."""
+        for txn in txns:
+            if txn.status is TxnStatus.ACTIVE:
+                self.abort(txn)
 
     # ------------------------------------------------------------------
     # durability

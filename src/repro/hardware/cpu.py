@@ -147,6 +147,11 @@ class CpuModel:
         self.costs = costs if costs is not None else CostTable()
         self.clock = clock if clock is not None else VirtualClock()
         self.counters = CounterSet()
+        # The billing kernel writes the counters' backing dict directly
+        # (``reset`` clears it in place, so the binding stays valid) and
+        # builds each ``cpu_us.<category>`` name once per category.
+        self._counts = self.counters._counts
+        self._counter_names: Dict[str, str] = {}
         self._busy_us = 0.0
         # Optional per-charge observer (a tracer); ``None`` keeps the hot
         # path at one attribute check per charge.
@@ -159,12 +164,13 @@ class CpuModel:
     def scale_costs(self, factors: Optional[Mapping[str, float]]) -> None:
         """Install per-category what-if charge scaling (``None`` clears).
 
-        Every subsequent :meth:`charge_us` whose ``category`` appears in
-        ``factors`` has its amount multiplied by the factor *before* it
-        reaches any accounting — the busy scalar, the per-category
-        counters, the :class:`ChargeSink` and the clock advance all see
-        the same scaled value, so the bit-exact reconciliation contract
-        of :mod:`repro.observability.spans` survives scaling unchanged.
+        Every subsequent :meth:`charge` or :meth:`charge_us` whose
+        ``category`` appears in ``factors`` has its amount multiplied by
+        the factor *before* it reaches any accounting — the busy scalar,
+        the per-category counters, the :class:`ChargeSink` and the clock
+        advance all see the same scaled value, so the bit-exact
+        reconciliation contract of :mod:`repro.observability.spans`
+        survives scaling unchanged.
 
         The factor deliberately applies to the charged amount rather
         than the :class:`CostTable` unit prices: scaling the final
@@ -196,6 +202,22 @@ class CpuModel:
         """Total core-seconds charged since the last reset."""
         return self._busy_us * 1e-6
 
+    # The billing kernel.  ``charge_us`` and ``charge`` each bill in
+    # their own frame, with no helper calls, because every priced
+    # primitive in the simulator passes through one of them.  Both run
+    # the same steps in the same order, and a differential test
+    # (tests/hardware/test_cpu_kernel.py) pins them bit-for-bit to a
+    # plain multi-call reference chain:
+    #
+    #   1. reject negative work before any state changes;
+    #   2. apply the what-if factor, ``amount * factor``;
+    #   3. add to ``_busy_us``, then to the ``cpu_us.<category>``
+    #      counter, then tell the sink;
+    #   4. advance the clock by ``amount / cores * 1e-6`` seconds.
+    #
+    # Charges are never merged: summing them first would change the
+    # order of float additions and with it the virtual figures.
+
     def charge_us(self, microseconds: float, category: str = "other") -> None:
         """Charge ``microseconds`` of single-core work to ``category``."""
         if microseconds < 0.0:
@@ -206,22 +228,46 @@ class CpuModel:
             if factor is not None:
                 microseconds = microseconds * factor
         self._busy_us += microseconds
-        self.counters.add(f"cpu_us.{category}", microseconds)
+        try:
+            name = self._counter_names[category]
+        except KeyError:
+            name = self._counter_names[category] = "cpu_us." + category
+        self._counts[name] += microseconds
         sink = self.sink
         if sink is not None:
             sink.on_charge(category, microseconds)
-        self.clock.advance_us(microseconds / self.cores)
+        self.clock._now += microseconds / self.cores * 1e-6
 
     def charge(self, primitive: str, count: float = 1.0,
                category: str | None = None) -> float:
-        """Charge ``count`` occurrences of a named :class:`CostTable` entry.
+        """Charge ``count`` occurrences of a named :class:`CostTable` entry
+        to ``category`` (default: the primitive's name).
 
-        Returns the charged core-microseconds so callers can aggregate
-        per-operation costs without re-reading the table.
+        Returns the charged core-microseconds, before any what-if
+        scaling, so callers can aggregate per-operation costs without
+        re-reading the table.
         """
-        unit = getattr(self.costs, primitive)
-        amount = unit * count
-        self.charge_us(amount, category if category is not None else primitive)
+        amount = getattr(self.costs, primitive) * count
+        if amount < 0.0:
+            raise ValueError(f"cannot charge negative work: {amount}")
+        if category is None:
+            category = primitive
+        microseconds = amount
+        scale = self._scale
+        if scale is not None:
+            factor = scale.get(category)
+            if factor is not None:
+                microseconds = amount * factor
+        self._busy_us += microseconds
+        try:
+            name = self._counter_names[category]
+        except KeyError:
+            name = self._counter_names[category] = "cpu_us." + category
+        self._counts[name] += microseconds
+        sink = self.sink
+        if sink is not None:
+            sink.on_charge(category, microseconds)
+        self.clock._now += microseconds / self.cores * 1e-6
         return amount
 
     def elapsed_if_cpu_bound(self) -> float:

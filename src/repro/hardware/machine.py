@@ -8,7 +8,6 @@ accounting into the throughput numbers the paper's analysis consumes.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ContextManager
 
@@ -24,11 +23,25 @@ if TYPE_CHECKING:  # deliberate: hardware stays import-independent of faults
     from ..observability.spans import Tracer
     from ..sanitizer.core import RaceSanitizer
 
-#: Shared no-op context manager returned by :meth:`Machine.trace_span`
-#: when no tracer is attached.  ``nullcontext`` is stateless, so one
-#: instance serves every call — the untraced hot path pays a single
-#: attribute check plus an enter/exit on this singleton.
-_NULL_SPAN: ContextManager[None] = contextlib.nullcontext()
+class _NoopSpan:
+    """The span :meth:`Machine.trace_span` returns when untraced.
+
+    Stateless and slotted, so one shared instance serves every call and
+    the untraced hot path pays one attribute check plus a bare
+    enter/exit.  ``__exit__`` returns ``None``, so exceptions raised
+    inside the ``with`` block propagate.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_SPAN = _NoopSpan()
 
 
 @dataclass(frozen=True)
@@ -159,15 +172,16 @@ class Machine:
 
         Reads the SSD's O(1) running service-time scalar, not
         ``latencies.total`` (an O(n) fsum) — this runs once per
-        operation on the hot path.
+        operation on the hot path, so it reads the two running scalars
+        directly rather than through their properties.
         """
-        return self.cpu.busy_us, self.ssd.service_us_total
+        return self.cpu._busy_us, self.ssd._service_us_total
 
     def observe_latency(self, window: "tuple[float, float]") -> float:
         """Record one operation's latency since ``window``; returns us."""
         cpu_before, service_before = window
-        latency = (self.cpu.busy_us - cpu_before) \
-            + (self.ssd.service_us_total - service_before)
+        latency = (self.cpu._busy_us - cpu_before) \
+            + (self.ssd._service_us_total - service_before)
         self.op_latencies.observe(latency)
         return latency
 

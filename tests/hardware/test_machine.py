@@ -83,6 +83,34 @@ def test_latency_window_brackets_one_op():
     assert machine.op_latencies.count == 1
 
 
+def test_latency_window_reads_the_running_scalars():
+    machine = Machine.paper_default()
+    for nbytes in (512, 4096, 8192):
+        machine.cpu.charge("hash_probe", 3, category="tc")
+        machine.ssd.read(nbytes)
+        machine.cpu.charge_us(0.7, "bwtree")
+        machine.ssd.write(nbytes)
+        assert machine.latency_window() == (
+            machine.cpu.busy_us, machine.ssd.service_us_total)
+    window = machine.latency_window()
+    machine.cpu.charge_us(1.25, "tc")
+    machine.ssd.read(4096)
+    assert machine.observe_latency(window) == (
+        (machine.cpu.busy_us - window[0])
+        + (machine.ssd.service_us_total - window[1]))
+
+
+def test_untraced_span_binds_none_and_propagates_exceptions():
+    machine = Machine.paper_default()
+    with machine.trace_span("engine.get", "engine") as bound:
+        assert bound is None
+    with pytest.raises(KeyError, match="boom"):
+        with machine.trace_span("engine.get", "engine"):
+            raise KeyError("boom")
+    span = machine.trace_span("engine.get", "engine")
+    assert not span.__exit__(KeyError, KeyError("boom"), None)
+
+
 def test_latency_reset_with_accounting():
     machine = Machine.paper_default()
     machine.observe_latency(machine.latency_window())

@@ -35,7 +35,7 @@ class TestUntraced:
     def test_trace_span_is_a_shared_noop(self, machine):
         first = machine.trace_span("engine.get", "engine")
         second = machine.trace_span("bwtree.get", "bwtree")
-        assert first is second  # the stateless nullcontext singleton
+        assert first is second  # the stateless no-op singleton
         with first:
             machine.cpu.charge_us(1.0, "bwtree")
         assert machine.cpu.busy_us == 1.0
