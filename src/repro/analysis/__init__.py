@@ -28,12 +28,8 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
   ``epoch_enter``/``epoch_exit`` pair on every path;
 * ``fault-site-coverage`` — durability mutations in the storage/TC
   layers are preceded by a registered :data:`repro.faults.FAULT_SITES`
-  hit, so the crash matrix can reach them;
-* ``shard-isolation`` — closures dispatched onto the shard thread pool
-  touch only shard-local state.
+  hit, so the crash matrix can reach them.
 
-The protocol rules are the static half of a two-sided check; the
-dynamic half is :mod:`repro.sanitizer` (``python -m repro sanitize``).
 Rule-by-rule examples live in ``docs/ANALYSIS.md``.
 
 Run ``python -m repro lint`` (or see :mod:`repro.analysis.cli`).

@@ -55,6 +55,15 @@ class TransactionAborted(RuntimeError):
     """Raised when commit fails a conflict check."""
 
 
+def check_batch_op(kind: str, value: Optional[bytes]) -> None:
+    """Reject a batch op whose kind is unknown or a put without a value."""
+    if kind == "put":
+        if value is None:
+            raise ValueError("put requires a value")
+    elif kind != "get" and kind != "delete":
+        raise ValueError(f"unknown batch op kind {kind!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TcConfig:
     """TC sizing knobs."""
@@ -452,18 +461,13 @@ class TransactionComponent:
         self.machine.cpu.charge("op_dispatch", category="tc")
         results: List[Optional[bytes]] = []
         for kind, key, value in ops:
+            check_batch_op(kind, value)
             if kind == "get":
                 results.append(self._read_one(txn, key))
-            elif kind == "put":
-                if value is None:
-                    raise ValueError("put requires a value")
-                self._buffer_write(txn, key, value)
-                results.append(None)
-            elif kind == "delete":
-                self._buffer_write(txn, key, None)
-                results.append(None)
             else:
-                raise ValueError(f"unknown batch op kind {kind!r}")
+                self._buffer_write(txn, key,
+                                   value if kind == "put" else None)
+                results.append(None)
         return results
 
     # ------------------------------------------------------------------

@@ -246,10 +246,6 @@ class TestShardedTopologies:
         with pytest.raises(ValueError, match="log topology"):
             self._fleet(log_topology="nvram")
 
-    def test_shared_topology_requires_sequential_dispatch(self):
-        with pytest.raises(ValueError, match="sequential"):
-            self._fleet(log_topology="shared", threaded=True)
-
     @pytest.mark.parametrize("topology",
                              ["colocated", "per-shard", "shared"])
     def test_batches_commit_and_drain_on_every_topology(self, topology):

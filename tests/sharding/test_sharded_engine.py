@@ -1,12 +1,14 @@
 """ShardedEngine semantics: equivalence with a single engine, per-shard
 group commit, fleet recovery, and aggregated accounting."""
 
+import contextlib
 import random
 
 import pytest
 
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware import Machine
 from repro.sharding import ShardedEngine
 
@@ -14,15 +16,23 @@ TREE_CONFIG = BwTreeConfig(segment_bytes=1 << 14)
 TC_CONFIG = TcConfig(log_buffer_bytes=1 << 12)
 
 
-def make_sharded(num_shards: int, threaded: bool = False,
-                 sync: bool = False) -> ShardedEngine:
+def make_sharded(num_shards: int, sync: bool = False,
+                 faults=None) -> ShardedEngine:
     return ShardedEngine(
         num_shards,
         cores_per_shard=1,
         tree_config=TREE_CONFIG,
         tc_config=TcConfig(log_buffer_bytes=1 << 12, sync_commit=sync),
-        threaded=threaded,
+        faults=faults,
     )
+
+
+def key_on(sharded: ShardedEngine, shard_id: int) -> bytes:
+    """The first ``user%06d`` key the router places on ``shard_id``."""
+    index = 0
+    while sharded.shard_for(b"user%06d" % index) != shard_id:
+        index += 1
+    return b"user%06d" % index
 
 
 def make_single() -> DeuteronomyEngine:
@@ -133,19 +143,109 @@ class TestShardIndependence:
                 assert sharded.shard_for(record.key) == shard_id
 
 
-class TestThreadedDispatch:
-    def test_threaded_matches_sequential(self):
-        ops = random_ops(300, key_space=50, seed=99)
-        sequential = make_sharded(4, threaded=False)
-        threaded = make_sharded(4, threaded=True)
-        assert run_stream(sequential, ops) == run_stream(threaded, ops)
-        seq_stats = sequential.stats()
-        thr_stats = threaded.stats()
-        # Simulated accounting is thread-independent: identical costs.
-        assert thr_stats["fleet"]["core_seconds"] \
-            == pytest.approx(seq_stats["fleet"]["core_seconds"])
-        assert thr_stats["fleet"]["operations"] \
-            == seq_stats["fleet"]["operations"]
+class TestScatterOrder:
+    """Sub-batches run in shard order, each right after its boundary
+    hit; a crash at the k-th hit leaves only earlier shards applied."""
+
+    INVOLVED = (0, 1, 3)
+
+    @pytest.mark.parametrize("crash_hit", [1, 2, 3, 4])
+    def test_boundary_hits_follow_shard_order(self, crash_hit):
+        injector = FaultInjector(
+            FaultPlan.crash_at("sharded.apply_batch.boundary", crash_hit))
+        sharded = make_sharded(4, faults=injector)
+        # Listed out of shard order: the scatter must still run shard 0,
+        # then 1, then 3.  Shard 2's sub-batch is empty.
+        ops = [("put", key_on(sharded, shard_id), b"new")
+               for shard_id in reversed(self.INVOLVED)]
+        crashes = crash_hit <= len(self.INVOLVED)
+        with (pytest.raises(CrashError) if crashes
+              else contextlib.nullcontext()):
+            sharded.apply_batch(ops)
+        # One hit per non-empty sub-batch, up to the crash.
+        assert injector.hits("sharded.apply_batch.boundary") == min(
+            crash_hit, len(self.INVOLVED))
+        for position, shard_id in enumerate(self.INVOLVED):
+            shard = sharded.shards[shard_id]
+            applied = position < crash_hit - 1
+            expected = b"new" if applied else None
+            assert shard.get(key_on(sharded, shard_id)) == expected
+            # The router hash is charged just before the boundary hit,
+            # so shards past the crash were never charged either.
+            router_us = shard.machine.cpu.counters.get("cpu_us.router")
+            assert (router_us > 0) == (position < crash_hit)
+
+
+class TestBatchRejection:
+    """A batch with one bad item is rejected whole, on every shard,
+    with the bare engine's exception type and message."""
+
+    CASES = pytest.mark.parametrize("method,build,error,message", [
+        pytest.param(
+            "apply_batch",
+            lambda good, bad: [("put", good, b"new"), ("bogus", bad, None)],
+            ValueError, "unknown batch op kind 'bogus'", id="apply-kind"),
+        pytest.param(
+            "apply_batch",
+            lambda good, bad: [("put", good, b"new"), ("put", bad, 5)],
+            TypeError, "values must be bytes, got int", id="apply-value"),
+        pytest.param(
+            "apply_batch",
+            lambda good, bad: [("put", good, b"new"), ("put", bad, None)],
+            ValueError, "put requires a value", id="apply-no-value"),
+        pytest.param(
+            "apply_batch",
+            lambda good, bad: [("delete", good, None), ("get", b"", None)],
+            ValueError, "keys must be non-empty", id="apply-empty-key"),
+        pytest.param(
+            "multi_put",
+            lambda good, bad: [(good, b"new"), (bad, None)],
+            TypeError, "values must be bytes, got NoneType", id="put-value"),
+        pytest.param(
+            "multi_put",
+            lambda good, bad: [(good, b"new"), (b"", b"v")],
+            ValueError, "keys must be non-empty", id="put-empty-key"),
+        pytest.param(
+            "multi_delete",
+            lambda good, bad: [good, b""],
+            ValueError, "keys must be non-empty", id="delete-empty-key"),
+        pytest.param(
+            "multi_get",
+            lambda good, bad: [good, b""],
+            ValueError, "keys must be non-empty", id="get-empty-key"),
+    ])
+
+    @staticmethod
+    def snapshot(sharded: ShardedEngine):
+        return [
+            (shard.tc.counters.get("tc.commits"), shard.tc.log.last_lsn,
+             shard.machine.cpu.busy_us)
+            for shard in sharded.shards
+        ]
+
+    @CASES
+    def test_rejected_batch_changes_no_shard(self, method, build, error,
+                                             message):
+        sharded = make_sharded(4)
+        good, bad = key_on(sharded, 0), key_on(sharded, 3)
+        # The bad item sits on a later shard than the good one; the
+        # empty key routes to shard 1.
+        assert sharded.shard_for(bad) > sharded.shard_for(good)
+        assert sharded.shard_for(b"") > sharded.shard_for(good)
+        keys = [key_on(sharded, shard_id) for shard_id in range(4)]
+        sharded.multi_put([(key, b"old") for key in keys])
+        before = self.snapshot(sharded)
+        with pytest.raises(error, match=f"^{message}$"):
+            getattr(sharded, method)(build(good, bad))
+        assert self.snapshot(sharded) == before
+        assert [sharded.get(key) for key in keys] == [b"old"] * 4
+
+    @CASES
+    def test_bare_engine_raises_the_same(self, method, build, error,
+                                         message):
+        single = make_single()
+        with pytest.raises(error, match=f"^{message}$"):
+            getattr(single, method)(build(b"good", b"bad"))
 
 
 class TestFleetRecovery:
