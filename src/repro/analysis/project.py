@@ -108,6 +108,7 @@ GENERIC_TOUCH_VERBS = frozenset({
     "multi_put",
     "multi_delete",
     "apply_batch",
+    "run_read",
     "run_update",
     "run_update_batch",
     "execute_batch",

@@ -297,9 +297,7 @@ def ablation_a3(record_count: int = 6_000, operations: int = 4_000,
         generator = WorkloadGenerator(spec)
         for op in generator.operations(operations):
             if op.kind.value == "read":
-                txn = engine.tc.begin()
-                engine.tc.read(txn, op.key)
-                engine.tc.commit(txn)
+                engine.tc.run_read(op.key)
             else:
                 engine.tc.run_update(op.key, op.value)
         read_ios = int(engine.tc.counters.get("tc.dc_read_ios"))

@@ -19,17 +19,8 @@ from .tc import (
     TransactionAborted,
     TransactionComponent,
     TxnStatus,
+    check_batch,
 )
-
-
-def _checked_updates(
-    items: Iterable[Tuple[bytes, bytes]],
-) -> Iterator[Tuple[bytes, bytes]]:
-    """``items`` with each value checked as it is consumed: a ``None``
-    value would otherwise be taken as a delete."""
-    for key, value in items:
-        validate_value(value)
-        yield key, value
 
 
 class DeuteronomyEngine:
@@ -104,20 +95,14 @@ class DeuteronomyEngine:
                 self.tc.commit(txn)
 
     # --- autocommit conveniences -------------------------------------
+    #
+    # Every one of these rejects a bad key, value or op kind before
+    # anything is charged, counted or run.
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Autocommitted snapshot read."""
         with self.machine.trace_span("engine.get", "engine"):
-            txn = self.tc.begin()
-            try:
-                value = self.tc.read(txn, key)
-            except BaseException:
-                # A failed read must not leave a dangling active
-                # transaction.
-                self.tc.abort(txn)
-                raise
-            self.tc.commit(txn)
-            return value
+            return self.tc.run_read(key)
 
     def put(self, key: bytes, value: bytes) -> None:
         """Autocommitted single-key update (``None`` is rejected: the
@@ -137,14 +122,19 @@ class DeuteronomyEngine:
         """Group-committed autocommit updates: one log append and one
         flush decision for the whole batch.  Items are applied in order
         (a later write to the same key wins, exactly like sequential
-        ``put`` calls).  Returns one commit timestamp per item."""
+        ``put`` calls).  Returns one commit timestamp per item.  A
+        ``None`` value is rejected, as in :meth:`put`."""
+        items = list(items)
+        check_batch(items, "put")
         with self.machine.trace_span("engine.multi_put", "engine"):
-            timestamps = self.tc.run_update_batch(_checked_updates(items))
+            timestamps = self.tc.run_update_batch(items)
             assert all(ts is not None for ts in timestamps)
             return timestamps  # type: ignore[return-value]
 
     def multi_delete(self, keys: Iterable[bytes]) -> List[int]:
         """Group-committed autocommit deletes (see :meth:`multi_put`)."""
+        keys = list(keys)
+        check_batch(keys, "delete")
         with self.machine.trace_span("engine.multi_delete", "engine"):
             timestamps = self.tc.run_update_batch(
                 (key, None) for key in keys
@@ -155,6 +145,7 @@ class DeuteronomyEngine:
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched autocommitted snapshot reads: one transaction and one
         request dispatch amortized across the whole batch."""
+        check_batch(keys, "get")
         with self.machine.trace_span("engine.multi_get", "engine"):
             txn = self.tc.begin()
             try:
@@ -175,6 +166,7 @@ class DeuteronomyEngine:
         see the batch's earlier writes.  Returns one entry per op: the
         value for gets, ``None`` for writes.
         """
+        check_batch(ops)
         with self.machine.trace_span("engine.apply_batch", "engine"):
             txn = self.tc.begin()
             try:

@@ -44,11 +44,14 @@ class Transaction:
     read_timestamp: int
     status: TxnStatus = TxnStatus.ACTIVE
     write_set: Dict[bytes, Optional[bytes]] = field(default_factory=dict)
-    read_keys: List[bytes] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.txn_id <= 0:
             raise ValueError("transaction ids start at 1")
+
+
+#: The write set of a one-shot read: it buffers nothing (never mutated).
+_NO_WRITES: Dict[bytes, Optional[bytes]] = {}
 
 
 class TransactionAborted(RuntimeError):
@@ -62,6 +65,30 @@ def check_batch_op(kind: str, value: Optional[bytes]) -> None:
             raise ValueError("put requires a value")
     elif kind != "get" and kind != "delete":
         raise ValueError(f"unknown batch op kind {kind!r}")
+
+
+def check_batch(items: Sequence, kind: Optional[str] = None) -> None:
+    """Reject a whole batch before any of it is charged or run.
+
+    With ``kind`` None each item is a ``(kind, key, value)`` op; with
+    ``"put"`` each is a ``(key, value)`` pair; with ``"get"`` or
+    ``"delete"`` each is a key.  Every item gets the checks its
+    single-op call makes, in the same order (a put's value before its
+    key), so the first bad item raises the error it always has.
+    """
+    if kind is None:
+        for op_kind, key, value in items:
+            check_batch_op(op_kind, value)
+            validate_key(key)
+            if op_kind == "put":
+                validate_value(value)
+    elif kind == "put":
+        for key, value in items:
+            validate_value(value)
+            validate_key(key)
+    else:
+        for key in items:
+            validate_key(key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +191,9 @@ class TransactionComponent:
             )
         self.versions = VersionStore(machine)
         self.counters = CounterSet()
+        # Hot paths bump counters through the backing dict (``reset``
+        # clears it in place, so the binding stays valid).
+        self._counts = self.counters._counts
         # Group-commit batch sizes (metrics-registry histogram; observing
         # is bookkeeping, not simulated work, so it carries no charge).
         self.batch_sizes = Histogram("tc_commit_batch_size")
@@ -352,7 +382,7 @@ class TransactionComponent:
         """Transactional read at the transaction's snapshot."""
         self._require_active(txn)
         self.machine.cpu.charge("op_dispatch", category="tc")
-        return self._read_one(txn, key)
+        return self._read_one(key, txn.read_timestamp, txn.write_set)
 
     def read_batch(self, txn: Transaction,
                    keys: Iterable[bytes]) -> List[Optional[bytes]]:
@@ -363,30 +393,33 @@ class TransactionComponent:
         """
         self._require_active(txn)
         self.machine.cpu.charge("op_dispatch", category="tc")
-        return [self._read_one(txn, key) for key in keys]
+        read_timestamp, write_set = txn.read_timestamp, txn.write_set
+        return [self._read_one(key, read_timestamp, write_set)
+                for key in keys]
 
-    def _read_one(self, txn: Transaction, key: bytes) -> Optional[bytes]:
+    def _read_one(self, key: bytes, read_timestamp: int,
+                  write_set: Dict[bytes, Optional[bytes]]) -> Optional[bytes]:
+        """One snapshot read at ``read_timestamp`` over ``write_set``."""
         self.machine.begin_operation()
-        txn.read_keys.append(key)
-        self.counters.add("tc.reads")
+        counts = self._counts
+        counts["tc.reads"] += 1.0
         with self.machine.trace_span("tc.read", "tc"):
             # Read-your-own-writes.
-            if key in txn.write_set:
-                self.counters.add("tc.own_write_hits")
-                return txn.write_set[key]
+            if key in write_set:
+                counts["tc.own_write_hits"] += 1.0
+                return write_set[key]
 
             # 1. MVCC version store — may be servable from a retained log
-            #    buffer (updated-record cache).
-            version, examined = self.versions.visible(
-                key, txn.read_timestamp)
-            del examined  # already charged per visibility check
+            #    buffer (updated-record cache).  Each visibility check
+            #    examined is charged inside ``visible``.
+            version, __ = self.versions.visible(key, read_timestamp)
             if version is not None:
                 if self.log.is_buffer_retained(version.log_buffer_id):
-                    self.counters.add("tc.log_cache_hits")
+                    counts["tc.log_cache_hits"] += 1.0
                     return version.value
                 # The buffer holding the version was dropped; fall through
                 # to the read cache / DC for the record bytes.
-                self.counters.add("tc.log_cache_stale")
+                counts["tc.log_cache_stale"] += 1.0
 
             # 2. Record heap (record-cache v2) or the FIFO read cache of
             #    records previously fetched from the DC.  A record-heap
@@ -395,19 +428,19 @@ class TransactionComponent:
             if self.records is not None:
                 hit, value = self.records.lookup(key)
                 if hit:
-                    self.counters.add("tc.record_cache_hits")
+                    counts["tc.record_cache_hits"] += 1.0
                     return value
             else:
                 hit, value = self.read_cache.lookup(key)
                 if hit:
-                    self.counters.add("tc.read_cache_hits")
+                    counts["tc.read_cache_hits"] += 1.0
                     return value
 
             # 3. Full trip to the data component (may cost an I/O).
             result = self.dc.get_with_stats(key)
-            self.counters.add("tc.dc_reads")
+            counts["tc.dc_reads"] += 1.0
             if result.ios > 0:
-                self.counters.add("tc.dc_read_ios", result.ios)
+                counts["tc.dc_read_ios"] += result.ios
             found_value = result.value if result.found else None
             if self.records is not None:
                 # Negative results are cached too (as clean tombstones).
@@ -459,11 +492,12 @@ class TransactionComponent:
         """
         self._require_active(txn)
         self.machine.cpu.charge("op_dispatch", category="tc")
+        read_timestamp, write_set = txn.read_timestamp, txn.write_set
         results: List[Optional[bytes]] = []
         for kind, key, value in ops:
             check_batch_op(kind, value)
             if kind == "get":
-                results.append(self._read_one(txn, key))
+                results.append(self._read_one(key, read_timestamp, write_set))
             else:
                 self._buffer_write(txn, key,
                                    value if kind == "put" else None)
@@ -474,15 +508,42 @@ class TransactionComponent:
     # one-shot helpers
     # ------------------------------------------------------------------
 
-    def run_read_only(self, keys: List[bytes]) -> List[Optional[bytes]]:
-        """Execute a read-only transaction over ``keys``."""
-        txn = self.begin()
-        values = [self.read(txn, key) for key in keys]
-        self.commit(txn)
-        return values
+    def run_read(self, key: bytes) -> Optional[bytes]:
+        """Execute a single-read transaction; returns the value read.
+
+        Bills and counts exactly what :meth:`begin`, :meth:`read` and
+        :meth:`commit` bill for it, in the same order, without building
+        a :class:`Transaction`: nothing on the read path consults
+        ``_active``, and a read-only commit installs nothing, so the
+        version-GC horizon is the one ``commit`` would see.  A failed
+        lookup counts an abort, as :meth:`abort` would.
+        """
+        validate_key(key)
+        charge = self.machine.cpu.charge
+        counts = self._counts
+        charge("timestamp_alloc", category="tc")
+        self._next_txn_id += 1
+        counts["tc.begins"] += 1.0
+        charge("op_dispatch", category="tc")
+        try:
+            value = self._read_one(key, self._clock, _NO_WRITES)
+        except BaseException:
+            counts["tc.aborts"] += 1.0
+            raise
+        with self.machine.trace_span("tc.commit", "tc"):
+            charge("timestamp_alloc", category="tc")
+            self._clock += 1
+            self._maybe_drain_records()
+            counts["tc.commits"] += 1.0
+            self._maybe_gc_versions()
+        return value
 
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp."""
+        # Reject bad input before ``begin`` charges anything.
+        validate_key(key)
+        if value is not None:
+            validate_value(value)
         txn = self.begin()
         try:
             self.write(txn, key, value)

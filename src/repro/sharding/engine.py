@@ -36,7 +36,7 @@ from typing import (
 
 from ..bwtree.tree import BwTreeConfig, validate_key, validate_value
 from ..deuteronomy.engine import DeuteronomyEngine
-from ..deuteronomy.tc import TcConfig, check_batch_op
+from ..deuteronomy.tc import TcConfig, check_batch
 from ..faults.plan import FaultInjector
 from ..hardware.logdevice import LogDevice
 from ..hardware.machine import Machine
@@ -178,17 +178,24 @@ class ShardedEngine:
         return shard
 
     # --- single-key API -----------------------------------------------
+    #
+    # Input is checked as the bare engine checks it, before the router
+    # hash is charged to any shard.
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Autocommitted snapshot read on the owning shard."""
+        validate_key(key)
         return self._shard_of(key).get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
         """Autocommitted single-key update on the owning shard."""
+        validate_value(value)
+        validate_key(key)
         self._shard_of(key).put(key, value)
 
     def delete(self, key: bytes) -> None:
         """Autocommitted single-key delete on the owning shard."""
+        validate_key(key)
         self._shard_of(key).delete(key)
 
     # --- batched scatter/gather API -----------------------------------
@@ -238,11 +245,9 @@ class ShardedEngine:
         """
         items = list(items)
         # Reject the whole batch before any shard runs, with the bare
-        # engine's checks in its order, so the error is the same and no
-        # shard commits part of a rejected batch.
-        for key, value in items:
-            validate_value(value)
-            validate_key(key)
+        # engine's checks, so the error is the same and no shard commits
+        # part of a rejected batch.
+        check_batch(items, "put")
         return self._scatter_gather(
             items, lambda item: item[0],
             lambda shard, sub: shard.multi_put(sub),
@@ -251,8 +256,7 @@ class ShardedEngine:
     def multi_delete(self, keys: Sequence[bytes]) -> List[int]:
         """Group-committed deletes (see :meth:`multi_put`)."""
         keys = list(keys)
-        for key in keys:
-            validate_key(key)
+        check_batch(keys, "delete")
         return self._scatter_gather(
             keys, lambda key: key,
             lambda shard, sub: shard.multi_delete(sub),
@@ -266,8 +270,7 @@ class ShardedEngine:
         the usual contract of hash-sharded stores.
         """
         keys = list(keys)
-        for key in keys:
-            validate_key(key)
+        check_batch(keys, "get")
         return self._scatter_gather(
             keys, lambda key: key,
             lambda shard, sub: shard.multi_get(sub),
@@ -285,11 +288,7 @@ class ShardedEngine:
         """
         ops = list(ops)
         # Whole-batch rejection as in :meth:`multi_put`.
-        for kind, key, value in ops:
-            check_batch_op(kind, value)
-            validate_key(key)
-            if kind == "put":
-                validate_value(value)
+        check_batch(ops)
         return self._scatter_gather(
             ops, lambda op: op[1],
             lambda shard, sub: shard.apply_batch(sub),

@@ -297,6 +297,9 @@ class PageCache:
         self._vclock = machine.clock
         # LRU order over resident pages: page id -> accounted bytes.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
+        # Running sum of ``_resident``'s values, kept by the only three
+        # places that change it: register, resize and _untrack.
+        self._resident_bytes = 0
         # CLOCK ring: page id -> reference bit, in hand order (the front
         # is where the hand points).  Touching a page is a plain store
         # into this dict — no reordering on the hot path.
@@ -313,6 +316,7 @@ class PageCache:
         nbytes = entry.resident_bytes
         self.machine.dram.allocate(nbytes, DRAM_TAG)
         self._resident[entry.page_id] = nbytes
+        self._resident_bytes += nbytes
         if self.policy is EvictionPolicy.CLOCK:
             self._clock_ring[entry.page_id] = True
         self.touch(entry)
@@ -328,9 +332,11 @@ class PageCache:
         elif new < old:
             self.machine.dram.free(old - new, DRAM_TAG)
         self._resident[entry.page_id] = new
+        self._resident_bytes += new - old
 
     def _untrack(self, entry: PageEntry) -> None:
         nbytes = self._resident.pop(entry.page_id)
+        self._resident_bytes -= nbytes
         self._clock_ring.pop(entry.page_id, None)
         self.machine.dram.free(nbytes, DRAM_TAG)
 
@@ -366,7 +372,7 @@ class PageCache:
 
     @property
     def resident_bytes(self) -> int:
-        return sum(self._resident.values())
+        return self._resident_bytes
 
     @property
     def resident_pages(self) -> int:

@@ -85,10 +85,11 @@ class TestReadsAndWrites:
         assert tc.dc.counters.get("bwtree.ios") == 0
         del ios_before
 
-    def test_run_read_only(self, tc):
+    def test_run_read(self, tc):
         tc.run_update(b"a", b"1")
         tc.run_update(b"b", b"2")
-        assert tc.run_read_only([b"a", b"b", b"c"]) == [b"1", b"2", None]
+        assert [tc.run_read(key) for key in (b"a", b"b", b"c")] == [
+            b"1", b"2", None]
 
 
 class TestConflicts:

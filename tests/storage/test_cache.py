@@ -1,6 +1,8 @@
 """Page cache: residency accounting, flush policies, eviction, fetch."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import tier_pair_breakeven
 from repro.hardware import Machine, StorageHierarchy
@@ -421,3 +423,58 @@ class TestDemoteNotDrop:
         before = machine.cpu.counters.get("cpu_us.tier_cache")
         cache.evict(entry)
         assert machine.cpu.counters.get("cpu_us.tier_cache") > before
+
+
+PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("new"), st.integers(1, 400)),
+        st.tuples(st.just("grow"), st.integers(0, 15), st.integers(1, 200)),
+        st.tuples(st.just("evict"), st.integers(0, 15)),
+        st.tuples(st.just("fetch"), st.integers(0, 15)),
+        st.tuples(st.just("forget"), st.integers(0, 15)),
+        st.tuples(st.just("cap"), st.integers(200, 3000)),
+    ),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("record_cache", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(ops=PAGE_OPS)
+def test_resident_bytes_is_the_sum_of_tracked_pages(record_cache, ops):
+    """The running ``resident_bytes`` total never drifts from the sum
+    over tracked pages (or from the DRAM the cache accounts)."""
+    machine = Machine.paper_default()
+    table = MappingTable()
+    store = LogStructuredStore(machine, segment_bytes=1 << 14)
+    cache = PageCache(machine, table, store, record_cache=record_cache)
+    entries = []
+    for op in ops:
+        kind = op[0]
+        entry = entries[op[1] % len(entries)] if entries and kind in (
+            "grow", "evict", "fetch", "forget") else None
+        tracked = entry is not None and cache.is_tracked(entry.page_id)
+        if kind == "new":
+            entry = table.allocate()
+            entry.state.install_base(
+                [Record(b"k%d" % entry.page_id, b"v" * op[1])])
+            cache.register(entry)
+            entries.append(entry)
+        elif kind == "grow" and tracked:
+            entry.state.prepend_delta(
+                up(b"k%d" % entry.page_id, b"w" * op[2]))
+            cache.resize(entry)
+        elif kind == "evict" and tracked and entry.state.base_present:
+            cache.evict(entry)
+        elif kind == "fetch" and entry is not None and entry.flash_chain:
+            store.flush()
+            cache.fetch(entry)
+        elif kind == "forget" and tracked:
+            cache.forget(entry)
+            entries.remove(entry)
+        elif kind == "cap":
+            cache.capacity_bytes = op[1]
+            cache.ensure_capacity()
+            cache.capacity_bytes = None
+        assert cache.resident_bytes == sum(cache._resident.values())
+        assert cache.resident_bytes == machine.dram.bytes_for("page_cache")
