@@ -4,9 +4,11 @@ The paper's argument rests on *complete accounting*: every operation's
 core-seconds and I/O-path CPU must be charged to a machine, or Equations
 (1)-(6) and the ~45 s breakeven silently go wrong.  Nothing in Python
 enforces that a new code path charges the :class:`~repro.hardware.cpu
-.CpuModel`, stays deterministic under replay, or keeps fleet counters
-additive — so this package enforces it mechanically, the way a type
-checker enforces signatures.
+.CpuModel`, stays deterministic under replay, or orders durable writes
+behind the log — so this package enforces it mechanically, the way a
+type checker enforces signatures.  (Fleet counter sums need no rule:
+they are derived from the one ``STATS`` declaration in
+:mod:`repro.deuteronomy.engine`, so they cannot drift from it.)
 
 Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
 
@@ -17,8 +19,6 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
   ``hardware/clock.py``;
 * ``slots-dataclass`` — hot-path dataclasses carry ``__slots__``;
 * ``mutable-default`` — no mutable default argument values;
-* ``counter-additivity`` — keys summed across shards must exist in the
-  per-shard ``stats()`` dicts;
 * ``wal-ordering`` — durable-content mutations (DC posts, dirty record
   appends, checkpoints) must be dominated by a recovery-log append or
   sync on every non-raising path, and checkpoint invalidation must

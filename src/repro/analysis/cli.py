@@ -26,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Domain-aware static checks: cost-accounting completeness, "
-            "determinism, hot-path hygiene, counter additivity."
+            "determinism, hot-path hygiene, WAL/epoch protocol, "
+            "fault-site coverage."
         ),
     )
     parser.add_argument(

@@ -8,7 +8,18 @@ context-manager transaction API.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..bwtree.tree import BwTree, BwTreeConfig, validate_value
 from ..hardware.logdevice import LogDevice
@@ -21,6 +32,152 @@ from .tc import (
     TxnStatus,
     check_batch,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class Stat:
+    """One ``stats()`` figure: its name, how a fleet combines it, and
+    how to read it off one engine.
+
+    ``kind`` is ``"counter"`` (monotone within a measured window, summed
+    over shards), ``"level"`` (a resident amount that can fall, summed),
+    ``"max"`` (the slowest shard's) or ``"ratio"``.  A ratio has no
+    reader: it is re-derived from already-combined figures by
+    :func:`ratio`, so a fleet rate weights every shard's traffic.
+    """
+
+    name: str
+    kind: str
+    read: Optional[Callable[["DeuteronomyEngine"], float]] = None
+    part: str = ""
+    whole: Tuple[str, ...] = ()
+    complement: bool = False
+
+
+def ratio(stat: Stat, values: Mapping[str, float]) -> float:
+    """``part / sum(whole)`` over ``values`` (one minus that for a
+    complement ratio); 0.0 while the whole is still zero."""
+    whole = sum(values[name] for name in stat.whole)
+    if not whole:
+        return 0.0
+    share = values[stat.part] / whole
+    return 1.0 - share if stat.complement else share
+
+
+def _elapsed_seconds(engine: "DeuteronomyEngine") -> float:
+    elapsed = engine.machine.summary().elapsed_seconds
+    pipeline = engine.tc.pipeline
+    if pipeline is not None:
+        # A dedicated (non-colocated) log device adds its own busy time
+        # as an elapsed floor; a colocated device contributes 0 here
+        # (already in the machine's SSD busy seconds).
+        elapsed = max(elapsed, pipeline.device.elapsed_contribution())
+    return elapsed
+
+
+def _tier_resident_bytes(engine: "DeuteronomyEngine") -> int:
+    tiers = engine.dc.cache.tiers
+    return ((tiers.resident_bytes if tiers is not None else 0)
+            + engine.tc.read_cache.tier_resident_bytes)
+
+
+def _tc_count(counter: str) -> Callable[["DeuteronomyEngine"], float]:
+    return lambda engine: engine.tc.counters.get(counter)
+
+
+def _records(attr: str) -> Callable[["DeuteronomyEngine"], float]:
+    """Record-store figure; 0 when the record store is off."""
+    def read(engine: "DeuteronomyEngine") -> float:
+        records = engine.tc.records
+        return getattr(records, attr) if records is not None else 0
+    return read
+
+
+def _pipeline(attr: str,
+              absent: float = 0) -> Callable[["DeuteronomyEngine"], float]:
+    """Commit-pipeline figure; ``absent`` when the pipeline is off."""
+    def read(engine: "DeuteronomyEngine") -> float:
+        pipeline = engine.tc.pipeline
+        return getattr(pipeline, attr) if pipeline is not None else absent
+    return read
+
+
+def _log_device(attr: str) -> Callable[["DeuteronomyEngine"], float]:
+    """Commit-log device figure; 0 when the pipeline is off."""
+    def read(engine: "DeuteronomyEngine") -> float:
+        pipeline = engine.tc.pipeline
+        return getattr(pipeline.device, attr) if pipeline is not None else 0
+    return read
+
+
+#: Every figure of :meth:`DeuteronomyEngine.stats`, in output order —
+#: the one declaration the engine's dict, the fleet's sums and rates
+#: (:meth:`repro.sharding.ShardedEngine.stats`), the fleet metrics
+#: registry and the crash matrix's sum-of-shards check derive from.
+#: Core-seconds, I/Os and resident DRAM bytes price an operation
+#: (the paper's Eqs. 4-5); summing them prices a fleet.  A ratio comes
+#: after the figures it divides.
+STATS: Tuple[Stat, ...] = (
+    Stat("operations", "counter", lambda engine: engine.machine.operations),
+    Stat("core_seconds", "counter",
+         lambda engine: engine.machine.cpu.busy_seconds),
+    Stat("elapsed_seconds", "max", _elapsed_seconds),
+    Stat("ssd_busy_seconds", "counter",
+         lambda engine: engine.machine.ssd.busy_seconds),
+    Stat("ssd_ios", "counter", lambda engine: engine.machine.ssd.total_ios),
+    Stat("dram_bytes", "level",
+         lambda engine: engine.machine.dram.current_bytes),
+    Stat("tc_dram_bytes", "level",
+         lambda engine: engine.tc.dram_footprint_bytes()),
+    Stat("commits", "counter", _tc_count("tc.commits")),
+    Stat("aborts", "counter", _tc_count("tc.aborts")),
+    Stat("reads", "counter", _tc_count("tc.reads")),
+    Stat("dc_reads", "counter", _tc_count("tc.dc_reads")),
+    Stat("tc_hit_rate", "ratio", part="dc_reads", whole=("reads",),
+         complement=True),
+    Stat("read_cache_hits", "counter",
+         lambda engine: engine.tc.read_cache.hits),
+    Stat("read_cache_misses", "counter",
+         lambda engine: engine.tc.read_cache.misses),
+    Stat("read_cache_hit_rate", "ratio", part="read_cache_hits",
+         whole=("read_cache_hits", "read_cache_misses")),
+    Stat("record_cache_hits", "counter", _records("hits")),
+    Stat("record_cache_misses", "counter", _records("misses")),
+    Stat("record_cache_hit_rate", "ratio", part="record_cache_hits",
+         whole=("record_cache_hits", "record_cache_misses")),
+    Stat("record_cache_gc_relocations", "counter",
+         _records("gc_relocations")),
+    Stat("record_heap_bytes", "level", _records("physical_bytes")),
+    Stat("page_cache_touches", "counter",
+         lambda engine: engine.dc.cache.stats.touches),
+    Stat("page_cache_fetches", "counter",
+         lambda engine: engine.dc.cache.stats.fetches),
+    Stat("page_cache_hit_rate", "ratio", part="page_cache_fetches",
+         whole=("page_cache_touches",), complement=True),
+    Stat("page_cache_demotions", "counter",
+         lambda engine: engine.dc.cache.stats.demotions),
+    Stat("page_cache_promotions", "counter",
+         lambda engine: engine.dc.cache.stats.promotions),
+    Stat("read_cache_demotions", "counter",
+         lambda engine: engine.tc.read_cache.demotions),
+    Stat("read_cache_promotions", "counter",
+         lambda engine: engine.tc.read_cache.promotions),
+    Stat("tier_resident_bytes", "level", _tier_resident_bytes),
+    Stat("log_flushes", "counter", lambda engine: engine.tc.log.flushes),
+    Stat("log_batch_appends", "counter",
+         lambda engine: engine.tc.log.batch_appends),
+    Stat("log_device_writes", "counter", _log_device("submitted_writes")),
+    Stat("log_device_bytes", "counter", _log_device("submitted_bytes")),
+    Stat("commit_epochs", "counter", _pipeline("epochs_closed")),
+    Stat("commit_wait_us", "counter", _pipeline("commit_wait_us", 0.0)),
+    Stat("commit_futures_resolved", "counter",
+         _pipeline("futures_resolved")),
+)
+
+#: Names of the figures a fleet sums over its shards (counters and
+#: levels), in :data:`STATS` order.
+SUMMED_STATS: Tuple[str, ...] = tuple(
+    stat.name for stat in STATS if stat.kind in ("counter", "level"))
 
 
 class DeuteronomyEngine:
@@ -210,76 +367,13 @@ class DeuteronomyEngine:
             return self.dc.collect_garbage(target_utilization)
 
     def stats(self) -> dict:
-        """One engine's cost/cache accounting as a flat dict.
-
-        Everything here is either an additive count (summable across a
-        shard fleet) or derivable from the additive counts, so
-        ``ShardedEngine.stats`` can aggregate shards uniformly and the
-        paper's Eqs. 4-5 pricing (core-seconds of CPU, resident DRAM
-        bytes) still applies to the fleet as a whole.
-        """
-        summary = self.machine.summary()
-        read_cache = self.tc.read_cache
-        records = self.tc.records
-        page_cache = self.dc.cache
-        pipeline = self.tc.pipeline
-        device = pipeline.device if pipeline is not None else None
-        elapsed = summary.elapsed_seconds
-        if device is not None:
-            # A dedicated (non-colocated) log device adds its own busy
-            # time as an elapsed floor; a colocated device contributes 0
-            # here (already in the machine's SSD busy seconds).
-            elapsed = max(elapsed, device.elapsed_contribution())
-        return {
-            "operations": summary.operations,
-            "core_seconds": summary.cpu_busy_seconds,
-            "elapsed_seconds": elapsed,
-            "ssd_busy_seconds": summary.ssd_busy_seconds,
-            "ssd_ios": summary.ssd_ios,
-            "dram_bytes": self.machine.dram.current_bytes,
-            "tc_dram_bytes": self.tc.dram_footprint_bytes(),
-            "commits": self.tc.counters.get("tc.commits"),
-            "aborts": self.tc.counters.get("tc.aborts"),
-            "reads": self.tc.counters.get("tc.reads"),
-            "dc_reads": self.tc.counters.get("tc.dc_reads"),
-            "tc_hit_rate": self.tc.tc_hit_rate(),
-            "read_cache_hits": read_cache.hits,
-            "read_cache_misses": read_cache.misses,
-            "read_cache_hit_rate": read_cache.hit_rate(),
-            "record_cache_hits": (
-                records.hits if records is not None else 0),
-            "record_cache_misses": (
-                records.misses if records is not None else 0),
-            "record_cache_hit_rate": (
-                records.hit_rate() if records is not None else 0.0),
-            "record_cache_gc_relocations": (
-                records.gc_relocations if records is not None else 0),
-            "record_heap_bytes": (
-                records.physical_bytes if records is not None else 0),
-            "page_cache_touches": page_cache.stats.touches,
-            "page_cache_fetches": page_cache.stats.fetches,
-            "page_cache_hit_rate": page_cache.hit_rate(),
-            "page_cache_demotions": page_cache.stats.demotions,
-            "page_cache_promotions": page_cache.stats.promotions,
-            "read_cache_demotions": read_cache.demotions,
-            "read_cache_promotions": read_cache.promotions,
-            "tier_resident_bytes": (
-                (page_cache.tiers.resident_bytes
-                 if page_cache.tiers is not None else 0)
-                + read_cache.tier_resident_bytes),
-            "log_flushes": self.tc.log.flushes,
-            "log_batch_appends": self.tc.log.batch_appends,
-            "log_device_writes": (
-                device.submitted_writes if device is not None else 0),
-            "log_device_bytes": (
-                device.submitted_bytes if device is not None else 0),
-            "commit_epochs": (
-                pipeline.epochs_closed if pipeline is not None else 0),
-            "commit_wait_us": (
-                pipeline.commit_wait_us if pipeline is not None else 0.0),
-            "commit_futures_resolved": (
-                pipeline.futures_resolved if pipeline is not None else 0),
-        }
+        """One engine's cost/cache accounting as a flat dict, one entry
+        per :data:`STATS` figure in declaration order."""
+        values: Dict[str, float] = {}
+        for stat in STATS:
+            values[stat.name] = (ratio(stat, values) if stat.read is None
+                                 else stat.read(self))
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeuteronomyEngine(dc={self.dc!r})"

@@ -58,13 +58,12 @@ class TransactionAborted(RuntimeError):
     """Raised when commit fails a conflict check."""
 
 
-def check_batch_op(kind: str, value: Optional[bytes]) -> None:
-    """Reject a batch op whose kind is unknown or a put without a value."""
-    if kind == "put":
-        if value is None:
-            raise ValueError("put requires a value")
-    elif kind != "get" and kind != "delete":
-        raise ValueError(f"unknown batch op kind {kind!r}")
+def check_write(key: bytes, value: Optional[bytes]) -> None:
+    """Reject a buffered update's key, or its value unless it is a
+    delete (``None``)."""
+    validate_key(key)
+    if value is not None:
+        validate_value(value)
 
 
 def check_batch(items: Sequence, kind: Optional[str] = None) -> None:
@@ -78,7 +77,11 @@ def check_batch(items: Sequence, kind: Optional[str] = None) -> None:
     """
     if kind is None:
         for op_kind, key, value in items:
-            check_batch_op(op_kind, value)
+            if op_kind == "put":
+                if value is None:
+                    raise ValueError("put requires a value")
+            elif op_kind != "get" and op_kind != "delete":
+                raise ValueError(f"unknown batch op kind {op_kind!r}")
             validate_key(key)
             if op_kind == "put":
                 validate_value(value)
@@ -378,9 +381,13 @@ class TransactionComponent:
     # reads and writes
     # ------------------------------------------------------------------
 
+    # Every read/write entry point rejects bad input (the whole of a
+    # batch) before anything is charged, counted or buffered.
+
     def read(self, txn: Transaction, key: bytes) -> Optional[bytes]:
         """Transactional read at the transaction's snapshot."""
         self._require_active(txn)
+        validate_key(key)
         self.machine.cpu.charge("op_dispatch", category="tc")
         return self._read_one(key, txn.read_timestamp, txn.write_set)
 
@@ -391,7 +398,9 @@ class TransactionComponent:
         Each key still pays its own cache probes / DC descent — batching
         amortizes only the per-request overhead, not the real lookups.
         """
+        keys = list(keys)
         self._require_active(txn)
+        check_batch(keys, "get")
         self.machine.cpu.charge("op_dispatch", category="tc")
         read_timestamp, write_set = txn.read_timestamp, txn.write_set
         return [self._read_one(key, read_timestamp, write_set)
@@ -453,25 +462,26 @@ class TransactionComponent:
               value: Optional[bytes]) -> None:
         """Buffer an update (``None`` deletes) until commit."""
         self._require_active(txn)
+        check_write(key, value)
         self.machine.cpu.charge("op_dispatch", category="tc")
         self._buffer_write(txn, key, value)
 
     def write_batch(self, txn: Transaction,
                     items: Iterable[Tuple[bytes, Optional[bytes]]]) -> None:
         """Buffer a group of updates under one request dispatch."""
+        items = list(items)
         self._require_active(txn)
+        for key, value in items:
+            check_write(key, value)
         self.machine.cpu.charge("op_dispatch", category="tc")
         for key, value in items:
             self._buffer_write(txn, key, value)
 
     def _buffer_write(self, txn: Transaction, key: bytes,
                       value: Optional[bytes]) -> None:
-        # Reject bad input before any charge or state change: a write
-        # that got past here would be logged and versioned before the
-        # data component refused it.
-        validate_key(key)
-        if value is not None:
-            validate_value(value)
+        # Callers have checked the input (``check_write``): a write that
+        # got past here unchecked would be logged and versioned before
+        # the data component refused it.
         self.machine.begin_operation()
         value_len = len(value) if value is not None else 0
         self.machine.cpu.charge("copy_per_byte", len(key) + value_len,
@@ -490,12 +500,13 @@ class TransactionComponent:
         Returns one entry per op: the read value for gets (reads see the
         batch's earlier writes), ``None`` for writes.
         """
+        ops = list(ops)
         self._require_active(txn)
+        check_batch(ops)
         self.machine.cpu.charge("op_dispatch", category="tc")
         read_timestamp, write_set = txn.read_timestamp, txn.write_set
         results: List[Optional[bytes]] = []
         for kind, key, value in ops:
-            check_batch_op(kind, value)
             if kind == "get":
                 results.append(self._read_one(key, read_timestamp, write_set))
             else:
@@ -541,9 +552,7 @@ class TransactionComponent:
     def run_update(self, key: bytes, value: Optional[bytes]) -> int:
         """Execute a single-update transaction; returns commit timestamp."""
         # Reject bad input before ``begin`` charges anything.
-        validate_key(key)
-        if value is not None:
-            validate_value(value)
+        check_write(key, value)
         txn = self.begin()
         try:
             self.write(txn, key, value)
@@ -563,6 +572,9 @@ class TransactionComponent:
         decision are shared across the group (Deuteronomy 2.0's batched
         log buffers).  Returns one commit timestamp per item.
         """
+        items = list(items)
+        for key, value in items:
+            check_write(key, value)
         self.machine.cpu.charge("op_dispatch", category="tc")
         txns: List[Transaction] = []
         try:

@@ -35,7 +35,7 @@ from typing import (
 )
 
 from ..bwtree.tree import BwTreeConfig, validate_key, validate_value
-from ..deuteronomy.engine import DeuteronomyEngine
+from ..deuteronomy.engine import STATS, SUMMED_STATS, DeuteronomyEngine, ratio
 from ..deuteronomy.tc import TcConfig, check_batch
 from ..faults.plan import FaultInjector
 from ..hardware.logdevice import LogDevice
@@ -43,21 +43,6 @@ from ..hardware.machine import Machine
 from ..hardware.metrics import CounterSet
 from ..hardware.ssd import SimulatedSsd, SsdSpec
 from .router import ShardRouter
-
-# stats() keys that are additive across shards; the rest are re-derived
-# from the sums so fleet-level rates weight every shard's traffic.
-_ADDITIVE_STAT_KEYS = (
-    "operations", "core_seconds", "ssd_busy_seconds", "ssd_ios",
-    "dram_bytes", "tc_dram_bytes", "commits", "aborts", "reads",
-    "dc_reads", "read_cache_hits", "read_cache_misses",
-    "record_cache_hits", "record_cache_misses",
-    "record_cache_gc_relocations", "record_heap_bytes",
-    "page_cache_touches", "page_cache_fetches", "page_cache_demotions",
-    "page_cache_promotions", "read_cache_demotions",
-    "read_cache_promotions", "tier_resident_bytes", "log_flushes",
-    "log_batch_appends", "log_device_writes", "log_device_bytes",
-    "commit_epochs", "commit_wait_us", "commit_futures_resolved",
-)
 
 # Where commit-pipeline log writes land, the costed hardware axis of the
 # five-minute-rule revisit: "colocated" shares each shard's data SSD,
@@ -395,35 +380,24 @@ class ShardedEngine:
     def stats(self) -> dict:
         """Fleet-level cost/cache accounting.
 
-        ``fleet`` sums every shard's additive counters and re-derives
-        the rates from the sums (so rates are traffic-weighted), keeping
-        the paper's Eq. 4-5 pricing applicable to the fleet: core
-        seconds and DRAM bytes are totals over all shard machines.
+        ``fleet`` combines the shards' figures as their ``STATS``
+        declarations say.  Counters and levels are summed in shard order,
+        keeping the paper's Eq. 4-5 pricing applicable to the fleet:
+        core seconds and DRAM bytes are totals over all shard machines.
         ``elapsed_seconds`` is the *maximum* over shards — shards run in
-        parallel, so the slowest shard bounds fleet virtual time.
+        parallel, so the slowest shard bounds fleet virtual time.  Rates
+        are re-derived from the sums, so they weight every shard's
+        traffic.
         """
         per_shard = [shard.stats() for shard in self.shards]
-        if __debug__:
-            # Runtime twin of the counter-additivity lint: every key we
-            # are about to sum must exist in every shard's stats() dict,
-            # or the fleet totals silently under-count.
-            for index, stats in enumerate(per_shard):
-                missing = [
-                    key for key in _ADDITIVE_STAT_KEYS
-                    if key not in stats
-                ]
-                assert not missing, (
-                    f"shard {index} stats() is missing additive keys "
-                    f"{missing}; fleet sums would under-count"
-                )
         fleet = {
-            key: sum(stats[key] for stats in per_shard)
-            for key in _ADDITIVE_STAT_KEYS
+            name: sum(stats[name] for stats in per_shard)
+            for name in SUMMED_STATS
         }
-        fleet["elapsed_seconds"] = max(
-            (stats["elapsed_seconds"] for stats in per_shard),
-            default=0.0,
-        )
+        for stat in STATS:
+            if stat.kind == "max":
+                fleet[stat.name] = max(
+                    (stats[stat.name] for stats in per_shard), default=0.0)
         if self._shared_log_ssd is not None:
             # One drive serves every shard's commit log: its total busy
             # time is a fleet-wide serial floor no amount of shard
@@ -432,24 +406,9 @@ class ShardedEngine:
                 fleet["elapsed_seconds"],
                 self._shared_log_ssd.busy_seconds,
             )
-        reads = fleet["reads"]
-        fleet["tc_hit_rate"] = (
-            1.0 - fleet["dc_reads"] / reads if reads else 0.0
-        )
-        probes = fleet["read_cache_hits"] + fleet["read_cache_misses"]
-        fleet["read_cache_hit_rate"] = (
-            fleet["read_cache_hits"] / probes if probes else 0.0
-        )
-        record_probes = (fleet["record_cache_hits"]
-                         + fleet["record_cache_misses"])
-        fleet["record_cache_hit_rate"] = (
-            fleet["record_cache_hits"] / record_probes
-            if record_probes else 0.0
-        )
-        touches = fleet["page_cache_touches"]
-        fleet["page_cache_hit_rate"] = (
-            1.0 - fleet["page_cache_fetches"] / touches if touches else 0.0
-        )
+        for stat in STATS:
+            if stat.kind == "ratio":
+                fleet[stat.name] = ratio(stat, fleet)
         return {
             "num_shards": self.num_shards,
             "log_topology": self.log_topology,

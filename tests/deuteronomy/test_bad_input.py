@@ -99,3 +99,55 @@ def test_bad_input_is_rejected_before_any_charge(kind, name):
     assert snapshot(store, engines) == before
     assert store.get(b"a") == b"0"
     assert store.get(b"k") is None
+
+
+# The TC's own read/write entry points (explicit transactions, and the
+# group-commit batch) check the whole input before the dispatch charge,
+# any counter or the write set.
+TXN_CASES = {
+    "read-str": (lambda tc, txn: tc.read(txn, "k"), TypeError,
+                 KEY_TYPE + "str"),
+    "read-empty": (lambda tc, txn: tc.read(txn, b""), ValueError,
+                   "keys must be non-empty"),
+    "read_batch-str": (lambda tc, txn: tc.read_batch(txn, [b"a", "k"]),
+                       TypeError, KEY_TYPE + "str"),
+    "write-str-key": (lambda tc, txn: tc.write(txn, "k", b"1"),
+                      TypeError, KEY_TYPE + "str"),
+    "write-str-value": (lambda tc, txn: tc.write(txn, b"k", "v"),
+                        TypeError, "values must be bytes, got str"),
+    "write_batch-str-key": (
+        lambda tc, txn: tc.write_batch(txn, [(b"b", b"1"), ("k", b"2")]),
+        TypeError, KEY_TYPE + "str"),
+    "write_batch-int-value": (
+        lambda tc, txn: tc.write_batch(txn, [(b"b", b"1"), (b"k", 5)]),
+        TypeError, "values must be bytes, got int"),
+    "execute_batch-get-str": (
+        lambda tc, txn: tc.execute_batch(
+            txn, [("put", b"b", b"1"), ("get", "k", None)]),
+        TypeError, KEY_TYPE + "str"),
+    "execute_batch-kind": (
+        lambda tc, txn: tc.execute_batch(
+            txn, [("put", b"b", b"1"), ("scan", b"k", None)]),
+        ValueError, "unknown batch op kind 'scan'"),
+    "execute_batch-put-none": (
+        lambda tc, txn: tc.execute_batch(
+            txn, [("put", b"b", b"1"), ("put", b"k", None)]),
+        ValueError, "put requires a value"),
+    "run_update_batch-str-key": (
+        lambda tc, txn: tc.run_update_batch([(b"b", b"1"), ("k", b"2")]),
+        TypeError, KEY_TYPE + "str"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TXN_CASES))
+def test_bad_input_to_a_transaction_is_rejected_before_any_charge(name):
+    call, error, message = TXN_CASES[name]
+    store, engines = make_store("engine")
+    txn = store.tc.begin()
+    before = snapshot(store, engines), dict(txn.write_set)
+    with pytest.raises(error, match=f"^{message}$"):
+        call(store.tc, txn)
+    assert (snapshot(store, engines), dict(txn.write_set)) == before
+    store.tc.commit(txn)
+    assert store.get(b"a") == b"0"
+    assert store.get(b"b") is None

@@ -3,8 +3,8 @@
 The crash matrix enumerates one seeded trace exhaustively; these
 properties sample the broader space — any (seed, site, hit) triple must
 either never reach the crash point or recover onto the durable prefix,
-recovery must be idempotent, and a recovered fleet's accounting must
-stay counter-additive.
+recovery must be idempotent, and a recovered fleet's summed ``STATS``
+figures must still equal the sum of its shards'.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.deuteronomy import DeuteronomyEngine
+from repro.deuteronomy.engine import SUMMED_STATS
 from repro.faults import FAULT_SITES, CrashError, FaultInjector, FaultPlan
 from repro.faults.matrix import (
     SCENARIOS as MATRIX_SCENARIOS,
@@ -25,7 +26,7 @@ from repro.faults.matrix import (
     build_trace,
     run_case,
 )
-from repro.sharding.engine import _ADDITIVE_STAT_KEYS, ShardedEngine
+from repro.sharding.engine import ShardedEngine
 
 SITES = st.sampled_from(sorted(FAULT_SITES))
 SEEDS = st.integers(min_value=0, max_value=2**16)
@@ -102,6 +103,6 @@ def test_recovered_fleet_stats_stay_additive(seed, site, hit):
         assert recovered.get(key) == expected.get(key)
     stats = recovered.stats()
     per_shard = stats["per_shard"]
-    for stat_key in _ADDITIVE_STAT_KEYS:
-        assert stats["fleet"][stat_key] == sum(
-            shard[stat_key] for shard in per_shard)
+    for name in SUMMED_STATS:
+        assert stats["fleet"][name] == sum(
+            shard[name] for shard in per_shard), name

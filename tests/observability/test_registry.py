@@ -1,15 +1,17 @@
-"""Metrics registry: validation, snapshot/delta, fleet additivity."""
+"""Metrics registry: validation, snapshot/delta, fleet sums of ``STATS``."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
-from repro.deuteronomy.engine import DeuteronomyEngine
+from repro.bwtree import BwTreeConfig
+from repro.deuteronomy.engine import STATS, DeuteronomyEngine
 from repro.deuteronomy.tc import TcConfig
 from repro.hardware.machine import Machine
 from repro.hardware.metrics import Histogram
 from repro.observability.registry import (
-    _REGISTRY_ADDITIVE_KEYS,
     MetricsRegistry,
     engine_registry,
     fleet_registry,
@@ -120,33 +122,89 @@ class TestEngineRegistry:
         assert delta["counters"]["tc.reads"] == 10.0
 
 
+def _fleet_after_traffic(
+        tc_config: TcConfig,
+        tree_config: Optional[BwTreeConfig] = None) -> ShardedEngine:
+    fleet = ShardedEngine(2, cores_per_shard=2, tree_config=tree_config,
+                          tc_config=tc_config)
+    fleet.bulk_load(_items(160, width=64))
+    fleet.reset_accounting()
+    for round_ in range(3):
+        fleet.apply_batch([
+            ("put", key, b"w" * 64) if (index + round_) % 4 == 0
+            else ("get", key, None)
+            for index, (key, __) in enumerate(_items(160))
+        ])
+    fleet.checkpoint()
+    return fleet
+
+
+def _registered(snapshot: dict, kind: str, name: str) -> float:
+    table = snapshot["counters"] if kind == "counter" else snapshot["gauges"]
+    return table[f"fleet.{name}"]
+
+
+#: TC/tree configurations between them giving every ``STATS`` figure a
+#: live source: record heap, commit pipeline, read-cache and page tiers.
+FLEET_CONFIGS = {
+    "record-cache": (TcConfig(record_cache=True,
+                              record_cache_bytes=6 << 10,
+                              record_arena_bytes=1 << 10,
+                              record_dirty_flush_bytes=2 << 10), None),
+    "commit-pipeline": (TcConfig(commit_pipeline=True), None),
+    "tiers": (TcConfig(read_cache_bytes=1 << 10, read_cache_demote=True),
+              BwTreeConfig(max_page_bytes=1024, cache_capacity_bytes=2 << 10,
+                           demote_to_tiers=True)),
+}
+
+
 class TestFleetRegistry:
     def test_sums_match_per_shard_stats(self):
-        fleet = ShardedEngine(
-            2, cores_per_shard=2,
-            tc_config=TcConfig(sync_commit=True))
-        fleet.bulk_load(_items(48))
-        fleet.reset_accounting()
-        batch = [
-            ("put", key, b"w" * 16) if index % 4 == 0
-            else ("get", key, None)
-            for index, (key, __) in enumerate(_items(48))
-        ]
-        fleet.apply_batch(batch)
-
-        registry = fleet_registry(fleet)
-        counters = registry.snapshot()["counters"]
+        fleet = _fleet_after_traffic(TcConfig(sync_commit=True))
+        snapshot = fleet_registry(fleet).snapshot()
         fleet_stats = fleet.stats()
-        for key in _REGISTRY_ADDITIVE_KEYS:
-            expected = sum(
-                shard.stats()[key] for shard in fleet.shards)
-            assert counters[f"fleet.{key}"] == float(expected), key
-            assert counters[f"fleet.{key}"] == \
-                float(fleet_stats["fleet"][key]), key
+        for stat in STATS:
+            if stat.kind not in ("counter", "level"):
+                continue
+            expected = sum(stat.read(shard) for shard in fleet.shards)
+            registered = _registered(snapshot, stat.kind, stat.name)
+            assert registered == float(expected), stat.name
+            assert registered == \
+                float(fleet_stats["fleet"][stat.name]), stat.name
+        counters = snapshot["counters"]
         assert counters["fleet.routed_ops"] == \
             float(fleet_stats["routed_ops"])
         assert counters["fleet.routed_batches"] == \
             float(fleet_stats["routed_batches"])
+
+    @pytest.mark.parametrize("config", sorted(FLEET_CONFIGS))
+    def test_every_stats_figure_is_registered(self, config):
+        """Counters register as counters, levels and ratios as gauges,
+        each equal to the fleet's ``stats()`` figure."""
+        fleet = _fleet_after_traffic(*FLEET_CONFIGS[config])
+        registry = fleet_registry(fleet)
+        snapshot = registry.snapshot()
+        combined = fleet.stats()["fleet"]
+        for stat in STATS:
+            if stat.kind == "max":
+                assert f"fleet.{stat.name}" not in registry.names
+                continue
+            assert _registered(snapshot, stat.kind, stat.name) == \
+                float(combined[stat.name]), stat.name
+
+    def test_sources_are_live(self):
+        """The configurations above leave no summed figure at zero in
+        every one of them, so the equalities are not vacuous."""
+        live = set()
+        for tc_config, tree_config in FLEET_CONFIGS.values():
+            combined = _fleet_after_traffic(tc_config, tree_config).stats()
+            live.update(name for name, value in combined["fleet"].items()
+                        if value)
+        assert live >= {
+            "record_cache_hits", "record_cache_misses",
+            "record_cache_gc_relocations", "record_heap_bytes",
+            "ssd_busy_seconds", "tier_resident_bytes",
+        }
 
     def test_fleet_hit_rate_rederived_from_sums(self):
         fleet = ShardedEngine(

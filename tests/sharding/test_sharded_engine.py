@@ -8,6 +8,7 @@ import pytest
 
 from repro.bwtree import BwTreeConfig
 from repro.deuteronomy import DeuteronomyEngine, TcConfig
+from repro.deuteronomy.engine import STATS, SUMMED_STATS
 from repro.faults import CrashError, FaultInjector, FaultPlan
 from repro.hardware import Machine
 from repro.sharding import ShardedEngine
@@ -309,11 +310,9 @@ class TestAggregatedStats:
         stats = sharded.stats()
         fleet, per_shard = stats["fleet"], stats["per_shard"]
         assert len(per_shard) == 4
-        for key in ("operations", "core_seconds", "dram_bytes",
-                    "commits", "reads", "read_cache_hits",
-                    "read_cache_misses", "ssd_ios"):
-            assert fleet[key] == pytest.approx(
-                sum(shard[key] for shard in per_shard))
+        assert set(fleet) == {stat.name for stat in STATS}
+        for name in SUMMED_STATS:
+            assert fleet[name] == sum(shard[name] for shard in per_shard), name
 
     def test_fleet_elapsed_is_slowest_shard(self):
         sharded = make_sharded(4)
