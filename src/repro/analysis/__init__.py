@@ -15,7 +15,7 @@ Rules (ids usable in ``--select`` and ``# repro: ignore[...]``):
 * ``cost-accounting`` — public methods in the engine packages that touch
   pages or logs must charge CPU / I/O-path work on every path;
 * ``determinism`` — no wall-clock or unseeded randomness inside
-  ``src/repro`` outside ``bench/``; simulated time comes from
+  ``src/repro`` outside ``bench/wallclock.py``; simulated time comes from
   ``hardware/clock.py``;
 * ``slots-dataclass`` — hot-path dataclasses carry ``__slots__``;
 * ``mutable-default`` — no mutable default argument values;

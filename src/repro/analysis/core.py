@@ -34,8 +34,6 @@ COST_SCOPE_SEGMENTS = frozenset(
 )
 #: Packages whose dataclasses sit on the measured hot path.
 HOTPATH_SCOPE_SEGMENTS = frozenset({"bwtree", "storage", "deuteronomy"})
-#: Path segments exempt from the determinism rule (wall-clock benchmarks).
-BENCH_SEGMENTS = frozenset({"bench", "benchmarks"})
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<ids>[A-Za-z0-9_,\s-]*)\])?"

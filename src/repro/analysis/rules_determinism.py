@@ -7,8 +7,8 @@ comes from explicitly seeded ``random.Random`` instances so traces
 replay bit-identically.  Wall-clock reads (``time.time`` & friends,
 ``datetime.now``) and unseeded randomness (module-level ``random.*``,
 ``random.Random()`` with no seed) break both, so they are banned inside
-``src/repro`` — except under ``bench/``, whose job is to measure real
-wall time.
+``src/repro`` — except in ``bench/wallclock.py``, the one module whose
+job is to measure real wall time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import ast
 from typing import Dict, Iterator, List, Sequence, Set
 
 from .core import (
-    BENCH_SEGMENTS,
     Finding,
     LintConfig,
     Rule,
@@ -34,6 +33,9 @@ WALL_CLOCK_TIME_ATTRS = frozenset({
 #: ``datetime``/``date`` constructors that read the wall clock.
 WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
+#: The trailing path segments of the one module allowed to read wall clocks.
+WALL_CLOCK_MODULE = ("bench", "wallclock.py")
+
 _HINT = "simulated time must come from hardware/clock.py (VirtualClock)"
 _RNG_HINT = "use an explicitly seeded random.Random(seed) instance"
 
@@ -42,13 +44,14 @@ _RNG_HINT = "use an explicitly seeded random.Random(seed) instance"
 class DeterminismRule(Rule):
     rule_id = "determinism"
     description = (
-        "no wall-clock reads or unseeded randomness outside bench/"
+        "no wall-clock reads or unseeded randomness outside "
+        "bench/wallclock.py"
     )
 
     def check(self, files: Sequence[SourceFile],
               config: LintConfig) -> Iterator[Finding]:
         for source in files:
-            if any(part in BENCH_SEGMENTS for part in source.segments):
+            if tuple(source.segments[-2:]) == WALL_CLOCK_MODULE:
                 continue
             yield from self._check_file(source)
 

@@ -20,6 +20,9 @@ latency up).
 
 Results are written as JSON (default ``BENCH_engine.json`` in the
 working directory) so the numbers can be tracked in-repo over time.
+Every figure is on the virtual clock, so the file is a pure function of
+the code: regenerating it on an unchanged tree reproduces it byte for
+byte.  Host time (how long the simulator takes) is perfbench's job.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -50,7 +52,9 @@ from ..workloads.ycsb import (
     shard_balance,
 )
 
-# v7: adds the ``whatif`` block (the causal profiler's ranked
+# v8: drops every host wall-time field (``wall_seconds`` and the
+# ``trace`` block's overhead timing); the file holds virtual figures
+# only.  v7 added the ``whatif`` block (the causal profiler's ranked
 # "top causal bottlenecks" per tracked workload — YCSB A/B/C at 1
 # shard, 1-vs-8-shard and sync-vs-async ycsb-a — each scenario swept
 # at 2x with the winner's prediction validated by an actual re-run;
@@ -61,12 +65,15 @@ from ..workloads.ycsb import (
 # page-granularity caching at equal DRAM on read-hot YCSB-C, latch-free
 # vs latched costing, and the re-derived Figure-3 MM crossover with the
 # record-cache engine standing in for the caching system).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 DEFAULT_OUT = "BENCH_engine.json"
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
+# ``--smoke`` sizing: ycsb-a only, 500 records / 2000 ops, 1 and 4 shards.
+SMOKE_RECORDS, SMOKE_OPS = 500, 2000
+SMOKE_SHARD_COUNTS = (1, 4)
 # YCSB-A 4-shard scaling at the v3 seed (sync commit): the WAL-bound
-# wall the async pipeline exists to break.  The CI scaling smoke asserts
-# the async path never regresses below this.
+# wall the async pipeline exists to break.  Every run asserts the async
+# 4-shard path never regresses below this.
 SEED_SCALING_FLOOR = 1.73
 # Acceptance floor for the full async run at 8 shards.
 ASYNC_SCALING_FLOOR_8 = 3.0
@@ -120,7 +127,6 @@ def _path_stats(
     engine: DeuteronomyEngine,
     latencies: Histogram,
     n_ops: int,
-    wall_seconds: float,
 ) -> Dict[str, float]:
     summary = machine.summary()
     elapsed = max(summary.cpu_elapsed_seconds, summary.ssd_busy_seconds)
@@ -137,7 +143,6 @@ def _path_stats(
         "log_batch_appends": engine.tc.log.batch_appends,
         "ssd_ios": summary.ssd_ios,
         "io_bound": summary.io_bound,
-        "wall_seconds": wall_seconds,
     }
 
 
@@ -147,7 +152,6 @@ def _run_per_op(
     ops: List[Operation],
 ) -> Dict[str, float]:
     latencies = Histogram("per_op_latency_us")
-    started = time.time()
     for op in ops:
         cpu0, svc0 = machine.latency_window()
         if op.kind is OpKind.READ:
@@ -156,8 +160,7 @@ def _run_per_op(
             engine.put(op.key, op.value)
         cpu1, svc1 = machine.latency_window()
         latencies.observe((cpu1 - cpu0) + (svc1 - svc0))
-    return _path_stats(machine, engine, latencies, len(ops),
-                       time.time() - started)
+    return _path_stats(machine, engine, latencies, len(ops))
 
 
 def _run_batched(
@@ -167,7 +170,6 @@ def _run_batched(
     batch_size: int,
 ) -> Dict[str, float]:
     latencies = Histogram("batched_latency_us")
-    started = time.time()
     for start in range(0, len(ops), batch_size):
         chunk = ops[start:start + batch_size]
         batch = [
@@ -183,8 +185,7 @@ def _run_batched(
         batch_latency = (cpu1 - cpu0) + (svc1 - svc0)
         for __ in chunk:
             latencies.observe(batch_latency)
-    return _path_stats(machine, engine, latencies, len(ops),
-                       time.time() - started)
+    return _path_stats(machine, engine, latencies, len(ops))
 
 
 def _run_mix(
@@ -260,7 +261,6 @@ def _run_sharded_mix(
         balance = shard_balance(partition_operations(
             iter(ops), num_shards,
             lambda key, __n: engine.shard_for(key)))
-        started = time.time()
         for start in range(0, len(ops), batch_size):
             batch = [
                 ("get", op.key, None) if op.kind is OpKind.READ
@@ -272,7 +272,6 @@ def _run_sharded_mix(
         # asynchronous numbers must describe *durable* commits (no-op
         # for sync shards).
         engine.drain_commits()
-        wall_seconds = time.time() - started
         stats = engine.stats()
         fleet = stats["fleet"]
         elapsed = fleet["elapsed_seconds"]
@@ -291,7 +290,6 @@ def _run_sharded_mix(
             "log_flushes": fleet["log_flushes"],
             "ssd_ios": fleet["ssd_ios"],
             "shard_balance": balance,
-            "wall_seconds": wall_seconds,
             "commit_epochs": fleet["commit_epochs"],
             "commit_wait_us": fleet["commit_wait_us"],
             "log_device_writes": fleet["log_device_writes"],
@@ -787,7 +785,7 @@ def _run_tiered_block(
     }
 
 
-def _run_trace_overhead(
+def _run_trace_block(
     record_count: int,
     op_count: int,
     batch_size: int,
@@ -795,71 +793,41 @@ def _run_trace_overhead(
     value_bytes: int,
     sync_commit: bool,
 ) -> Dict[str, object]:
-    """Batched ycsb-a with tracing off vs on (schema v3 ``trace`` block).
+    """Batched ycsb-a cost attribution (the ``trace`` block).
 
-    Both modes drive the identical generated stream on identical fresh
-    engines; simulated costs are equal by construction (tracing charges
-    nothing), so the delta is pure wall-clock harness overhead:
-    ``overhead_fraction`` is the *median* of per-round
-    ``traced_wall / untraced_wall`` ratios minus one: the two modes
-    alternate back-to-back within each of ``repeats`` rounds (over
-    ``3 * op_count`` operations), so each ratio compares runs under the
-    same machine load, and the median discards rounds where a load
-    burst hit one side — scheduler jitter at sub-second run lengths
-    would otherwise swamp the measurement.  The traced run also records
-    the per-component cost breakdown and the metrics registry's window
-    delta, making the benchmark file a one-stop cost-attribution
-    record.
+    One untraced and one traced run drive the identical ``3 * op_count``
+    operation stream on identical fresh engines.  Tracing charges
+    nothing, so the two runs' path stats must be equal field for field;
+    the traced run also records the per-component cost breakdown and
+    the metrics registry's window delta, making the benchmark file a
+    one-stop cost-attribution record.
     """
     from ..observability.registry import engine_registry
     from ..observability.spans import Tracer
 
-    spec_kwargs = dict(record_count=record_count, value_bytes=value_bytes)
-    builder = MIX_BUILDERS["a"]
-    repeats = 7
-    overhead_ops = 3 * op_count
+    spec = MIX_BUILDERS["a"](record_count=record_count,
+                             value_bytes=value_bytes)
+    trace_ops = 3 * op_count
 
-    def one_run(traced: bool):
-        machine, engine, generator = _fresh_engine(
-            builder(**spec_kwargs), cores, sync_commit)
-        ops = list(generator.operations(overhead_ops))
-        tracer = delta = None
-        if traced:
-            tracer = Tracer(machine)
-            machine.attach_tracer(tracer)
-            registry = engine_registry(engine)
-            before = registry.snapshot()
-        result = _run_batched(machine, engine, ops, batch_size)
-        if traced:
-            delta = registry.delta(before)
-        return result, tracer, delta
+    machine, engine, generator = _fresh_engine(spec, cores, sync_commit)
+    untraced = _run_batched(machine, engine,
+                            list(generator.operations(trace_ops)),
+                            batch_size)
 
-    untraced_walls = []
-    traced_walls = []
-    ratios = []
-    for _ in range(repeats):
-        untraced = one_run(False)[0]
-        untraced_walls.append(untraced["wall_seconds"])
-        traced, tracer, delta = one_run(True)
-        traced_walls.append(traced["wall_seconds"])
-        if untraced_walls[-1]:
-            ratios.append(traced_walls[-1] / untraced_walls[-1])
-    untraced_wall = min(untraced_walls)
-    traced_wall = min(traced_walls)
+    machine, engine, generator = _fresh_engine(spec, cores, sync_commit)
+    tracer = Tracer(machine)
+    machine.attach_tracer(tracer)
+    registry = engine_registry(engine)
+    before = registry.snapshot()
+    traced = _run_batched(machine, engine,
+                          list(generator.operations(trace_ops)), batch_size)
+    delta = registry.delta(before)
 
-    overhead = (sorted(ratios)[len(ratios) // 2] - 1.0
-                if ratios else 0.0)
-    assert traced["core_us_per_op"] == untraced["core_us_per_op"], (
-        "tracing changed simulated costs"
-    )
+    assert traced == untraced, "tracing changed simulated costs"
     return {
         "workload": "ycsb-a",
         "path": "batched",
-        "operations": overhead_ops,
-        "repeats": repeats,
-        "untraced_wall_seconds": untraced_wall,
-        "traced_wall_seconds": traced_wall,
-        "overhead_fraction": overhead,
+        "operations": trace_ops,
         "cpu_us_by_component": tracer.cpu_us_by_component(),
         "ssd_ios_by_component": tracer.ssd_ios_by_component(),
         "unattributed_cpu_us": tracer.unattributed_us(),
@@ -942,12 +910,14 @@ def run_bench(
     record_cache_comparison: bool = True,
     tiered_comparison: bool = True,
     whatif_comparison: bool = True,
+    smoke: bool = False,
 ) -> Dict[str, object]:
     """Run the benchmark and return the report dict (see module doc).
 
     ``shard_counts`` drives the sharded scatter/gather sweep (empty
     disables it); ``per_path_comparison`` toggles the original per-op vs
-    batched single-engine comparison.
+    batched single-engine comparison; ``smoke`` trims the record-cache
+    block to its two gated variants.
     """
     shard_counts = tuple(shard_counts)
     report: Dict[str, object] = {
@@ -984,7 +954,7 @@ def run_bench(
             value_bytes, sharded.get("ycsb-a"))
     if record_cache_comparison:
         report["record_cache"] = _run_record_cache_block(
-            record_count, op_count, cores, value_bytes)
+            record_count, op_count, cores, value_bytes, smoke=smoke)
     if eviction_comparison:
         report["eviction"] = _run_eviction_comparison(
             record_count, op_count, cores, value_bytes)
@@ -995,7 +965,7 @@ def run_bench(
         report["whatif"] = _run_whatif_block(
             record_count, op_count, batch_size, cores)
     if trace:
-        report["trace"] = _run_trace_overhead(
+        report["trace"] = _run_trace_block(
             record_count, op_count, batch_size, cores, value_bytes,
             sync_commit)
     return report
@@ -1199,10 +1169,8 @@ def render(report: Dict[str, object]) -> str:
     if trace:
         lines.append("")
         lines.append(
-            f"tracing overhead ({trace['workload']}, {trace['path']}): "
-            f"{trace['overhead_fraction'] * 100:.1f}% wall "
-            f"({trace['untraced_wall_seconds']:.3f}s -> "
-            f"{trace['traced_wall_seconds']:.3f}s)"
+            f"cost attribution ({trace['workload']}, {trace['path']}, "
+            f"{trace['operations']} ops, traced == untraced):"
         )
         breakdown = trace["cpu_us_by_component"]
         total = sum(breakdown.values()) or 1.0
@@ -1221,7 +1189,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Per-op vs batched engine throughput benchmark.",
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny fast run (CI): ycsb-a only, ~2k ops")
+                        help="small fast run (CI): ycsb-a at "
+                             f"{SMOKE_RECORDS} records / {SMOKE_OPS} ops "
+                             f"on {list(SMOKE_SHARD_COUNTS)} shards, plus "
+                             "the record-cache and tiered blocks; checks "
+                             "every floor and ceiling")
     parser.add_argument("--mixes", default="a,b,c",
                         help="comma-separated YCSB mixes (default a,b,c)")
     parser.add_argument("--records", type=int, default=4000)
@@ -1230,111 +1202,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cores", type=int, default=4,
                         help="cores per machine (per shard in sharded "
                              "runs)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run ONLY the sharded benchmark at this "
-                             "shard count (default: full run sweeps "
-                             f"{list(DEFAULT_SHARD_COUNTS)})")
-    parser.add_argument("--trace", action="store_true",
-                        help="also measure tracing overhead on batched "
-                             "ycsb-a and record the per-component cost "
-                             "breakdown ('trace' block)")
-    parser.add_argument("--scaling-smoke", action="store_true",
-                        help="CI floor check only: run the async ycsb-a "
-                             "curve at 1 and 4 shards and fail if "
-                             f"scaling_vs_1 < {SEED_SCALING_FLOOR} (the "
-                             "v3 seed's sync-commit scaling)")
-    parser.add_argument("--record-cache-smoke", action="store_true",
-                        help="CI floor check only: page-granularity vs "
-                             "latch-free record heap at equal cache DRAM "
-                             "on tiny ycsb-c; fail if the MM-op core-us "
-                             f"drop < {RECORD_CACHE_FLOOR:.0%}")
-    parser.add_argument("--tiered-smoke", action="store_true",
-                        help="CI ceiling check only: drop vs demote "
-                             "eviction at equal DRAM on tiny ycsb-b; "
-                             "fail if the demote/drop $-per-op ratio > "
-                             f"{TIERED_DOLLARS_CEILING}")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT}); "
                              "'-' skips writing")
     args = parser.parse_args(argv)
-    if args.shards is not None and args.shards <= 0:
-        parser.error(f"--shards must be positive, got {args.shards}")
-
-    if args.record_cache_smoke:
-        block = _run_record_cache_block(500, 2000, args.cores, 100,
-                                        smoke=True)
-        drop = block["mm_core_us_drop"]
-        print(
-            f"record-cache smoke: ycsb-c MM-op core-us drop = "
-            f"{drop * 100:.1f}% (floor {RECORD_CACHE_FLOOR * 100:.0f}%)"
-        )
-        if drop < RECORD_CACHE_FLOOR:
-            print(
-                f"FAIL: latch-free record heap cut MM-op core-us by only "
-                f"{drop:.1%} vs the page-granularity path "
-                f"(floor {RECORD_CACHE_FLOOR:.0%})",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.tiered_smoke:
-        block = _run_tiered_block(500, 2000, args.cores, 100)
-        ratio = block["dollars_ratio"]
-        print(
-            f"tiered smoke: ycsb-b demote/drop $-per-op ratio = "
-            f"{ratio:.3f} (ceiling {TIERED_DOLLARS_CEILING})"
-        )
-        if ratio > TIERED_DOLLARS_CEILING:
-            print(
-                f"FAIL: demote-not-drop landed at {ratio:.3f}x the drop "
-                f"baseline's $-per-op "
-                f"(ceiling {TIERED_DOLLARS_CEILING}x)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.scaling_smoke:
-        curve = _run_sharded_mix(
-            "a", 500, 2000, args.batch_size, (1, 4), args.cores, 100,
-            sync_commit=False, commit_pipeline=True)
-        scaling = curve["4"]["scaling_vs_1"]
-        print(
-            f"scaling smoke: ycsb-a 4-shard async scaling_vs_1 = "
-            f"{scaling:.2f}x (floor {SEED_SCALING_FLOOR}x)"
-        )
-        if scaling < SEED_SCALING_FLOOR:
-            print(
-                f"FAIL: async 4-shard scaling {scaling:.2f}x dropped "
-                f"below the seed sync-commit value "
-                f"{SEED_SCALING_FLOOR}x",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
 
     if args.smoke:
         mixes = ["a"]
-        record_count, op_count = 500, 2000
-        eviction_comparison = False
+        record_count, op_count = SMOKE_RECORDS, SMOKE_OPS
+        shard_counts: Tuple[int, ...] = SMOKE_SHARD_COUNTS
     else:
         mixes = [m.strip() for m in args.mixes.split(",") if m.strip()]
         record_count, op_count = args.records, args.ops
-        eviction_comparison = True
-
-    if args.shards is not None:
-        # Sharded-only mode (the CI sharded smoke): one shard count, no
-        # single-engine comparison and no eviction study.
-        shard_counts: Tuple[int, ...] = (args.shards,)
-        per_path_comparison = False
-        eviction_comparison = False
-    elif args.smoke:
-        shard_counts = ()
-        per_path_comparison = True
-    else:
         shard_counts = DEFAULT_SHARD_COUNTS
-        per_path_comparison = True
 
     report = run_bench(
         mixes=mixes,
@@ -1342,13 +1222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         op_count=op_count,
         batch_size=args.batch_size,
         cores=args.cores,
-        eviction_comparison=eviction_comparison,
+        eviction_comparison=not args.smoke,
         shard_counts=shard_counts,
-        per_path_comparison=per_path_comparison,
-        trace=args.trace,
-        record_cache_comparison=not args.smoke and args.shards is None,
-        tiered_comparison=not args.smoke and args.shards is None,
-        whatif_comparison=not args.smoke and args.shards is None,
+        trace=not args.smoke,
+        whatif_comparison=not args.smoke,
+        smoke=args.smoke,
     )
     print(render(report))
     if args.out != "-":
@@ -1377,16 +1255,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"ops/sec below 1-shard {one['ops_per_sec']:,.0f}"
             )
     # The async pipeline exists to break the WAL-bound scaling wall:
-    # with the full curve present, 8-shard async scaling must clear the
-    # acceptance floor.
-    pipeline = report.get("commit_pipeline", {})
-    async_eight = pipeline.get("async_scaling", {}).get("8")
-    if async_eight is not None:
-        scaling = async_eight.get("scaling_vs_1", 0.0)
-        if scaling < ASYNC_SCALING_FLOOR_8:
+    # 4-shard async scaling must never fall back to the seed's sync
+    # value, and 8-shard async scaling must clear the acceptance floor.
+    async_scaling = report.get("commit_pipeline", {}).get("async_scaling", {})
+    for shards, floor in (("4", SEED_SCALING_FLOOR),
+                          ("8", ASYNC_SCALING_FLOOR_8)):
+        entry = async_scaling.get(shards)
+        if entry is not None and entry["scaling_vs_1"] < floor:
             failures.append(
-                f"8-shard async ycsb-a scaling {scaling:.2f}x < "
-                f"{ASYNC_SCALING_FLOOR_8}x floor"
+                f"{shards}-shard async ycsb-a scaling "
+                f"{entry['scaling_vs_1']:.2f}x < {floor}x floor"
             )
     # Record-cache v2 exists to cut the MM-op cost of the TC-hit path;
     # at equal cache DRAM the latch-free heap must clear the floor.

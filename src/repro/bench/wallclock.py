@@ -1,8 +1,8 @@
 """Wall-clock timing for benchmark harnesses.
 
-Everything under ``bench/`` measures *real* elapsed time — how long the
-host takes to run a simulation — which is exactly the one place wall
-clocks are allowed (the ``determinism`` lint exempts ``bench/``).
+This module measures *real* elapsed time — how long the host takes to
+run a simulation — and is the one place in the package wall clocks are
+allowed (the ``determinism`` lint exempts this file alone).
 Simulation code must never import this; it gets time from
 ``hardware/clock.py``.
 """

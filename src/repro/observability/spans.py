@@ -12,9 +12,9 @@ The default tracer records span boundaries as scalars appended to one
 flat event log through a single reusable context-manager handle — no
 per-span object or container survives the hot path, which keeps both
 the per-span cost and the garbage collector's generation pressure low
-enough that tracing a batched benchmark run stays under 10% wall-clock
-overhead (measured by ``python -m repro bench-engine --trace``).  The
-:class:`Span` tree is materialized from the log on first access.
+(tracing the batched YCSB-A benchmark cost 6.7% wall-clock overhead when
+last measured; no harness tracks that figure now).  The :class:`Span`
+tree is materialized from the log on first access.
 
 A *detailed* tracer (``Tracer(machine, detailed=True)``) builds the
 :class:`Span` tree live and additionally installs itself as the CPU

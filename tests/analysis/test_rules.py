@@ -275,15 +275,23 @@ def make_rng(seed):
 """
         assert not _lint_snippet(tmp_path, clean, self.RULE)
 
-    def test_bench_directory_is_exempt(self, tmp_path):
+    def _lint_bench_module(self, tmp_path, name):
         bench = tmp_path / "repro" / "bench"
         bench.mkdir(parents=True)
-        (bench / "timing.py").write_text(DETERMINISM_POSITIVE)
-        findings = [
+        (bench / name).write_text(DETERMINISM_POSITIVE)
+        return [
             f for f in lint_paths([str(tmp_path)])
             if f.rule == self.RULE
         ]
-        assert not findings
+
+    def test_bench_directory_is_exempt(self, tmp_path):
+        # Only the wall-clock helper module is exempt, not all of bench/.
+        assert not self._lint_bench_module(tmp_path, "wallclock.py")
+
+    def test_other_bench_module_is_flagged(self, tmp_path):
+        findings = self._lint_bench_module(tmp_path, "timing.py")
+        assert findings
+        assert "time.time" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def test_help_enumerates_every_subcommand(capsys):
         assert description in out
 
 
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_subcommand_help_exits_zero(name, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([name, "--help"])
+    assert excinfo.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_subcommand_table_modules_expose_main():
     """Every dispatch target must import and offer ``main(argv)``."""
     import importlib

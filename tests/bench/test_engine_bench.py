@@ -10,7 +10,7 @@ from repro.bench.engine_bench import SCHEMA_VERSION, render, run_bench
 PATH_KEYS = {
     "operations", "ops_per_sec", "core_us_per_op", "p50_latency_us",
     "p99_latency_us", "cache_hit_rate", "tc_hit_rate", "log_flushes",
-    "log_batch_appends", "ssd_ios", "io_bound", "wall_seconds",
+    "log_batch_appends", "ssd_ios", "io_bound",
 }
 
 
@@ -56,6 +56,18 @@ class TestRunBench:
         assert "ycsb-c" in text
         assert "speedup" in text
 
+    def test_report_is_virtual_only_and_deterministic(self):
+        def tiny():
+            return run_bench(mixes=["a"], record_count=200, op_count=300,
+                             shard_counts=(1, 2), eviction_comparison=False,
+                             record_cache_comparison=False,
+                             tiered_comparison=False,
+                             whatif_comparison=False, trace=True)
+
+        first = json.dumps(tiny(), sort_keys=True)
+        assert "wall" not in first
+        assert first == json.dumps(tiny(), sort_keys=True)
+
     def test_unknown_mix_rejected(self):
         try:
             run_bench(mixes=["z"], record_count=100, op_count=100)
@@ -69,7 +81,7 @@ SHARDED_KEYS = {
     "shards", "operations", "ops_per_sec", "core_us_per_op",
     "fleet_core_seconds", "fleet_elapsed_seconds", "fleet_dram_bytes",
     "tc_hit_rate", "read_cache_hit_rate", "page_cache_hit_rate",
-    "log_flushes", "ssd_ios", "shard_balance", "wall_seconds",
+    "log_flushes", "ssd_ios", "shard_balance",
 }
 
 
@@ -195,29 +207,40 @@ class TestCli:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["benchmark"] == "engine-throughput"
-        assert "ycsb-a" in report["mixes"]
-        # Smoke without --shards skips the sweep to stay fast.
-        assert report["sharded"] == {}
+        assert set(report["mixes"]) == {"ycsb-a"}
+        assert set(report["sharded"]["ycsb-a"]) == {"1", "4"}
+        assert set(report["commit_pipeline"]["async_scaling"]) == {"1", "4"}
+        assert set(report["record_cache"]["variants"]) == {
+            "page", "latch_free"}
+        assert set(report["tiered"]["variants"]) == {"drop", "demote"}
+        assert not {"eviction", "whatif", "trace"} & set(report)
         captured = capsys.readouterr()
         assert "speedup" in captured.out
+        assert "MM-op core-us drop" in captured.out
+        assert "demote/drop $-per-op ratio" in captured.out
 
-    def test_record_cache_smoke_flag_checks_floor(self, capsys):
-        rc = cli_main(["bench-engine", "--record-cache-smoke"])
+    def test_record_cache_smoke_flag_checks_floor(self, tmp_path, capsys):
+        """``--smoke`` runs the record-cache block and checks its floor."""
+        from repro.bench.engine_bench import RECORD_CACHE_FLOOR
+        out = tmp_path / "bench.json"
+        rc = cli_main(["bench-engine", "--smoke", "--out", str(out)])
         assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["record_cache"]["mm_core_us_drop"] >= RECORD_CACHE_FLOOR
         captured = capsys.readouterr()
-        assert "record-cache smoke" in captured.out
+        assert "MM-op core-us drop" in captured.out
         assert "floor" in captured.out
 
     def test_bench_engine_shards_flag_runs_sharded_only(self, tmp_path,
                                                         capsys):
+        """The sharded sweep rides on ``--smoke`` at 1 and 4 shards."""
         out = tmp_path / "bench.json"
-        rc = cli_main(["bench-engine", "--smoke", "--shards", "2",
-                       "--out", str(out)])
+        rc = cli_main(["bench-engine", "--smoke", "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["mixes"] == {}
         assert set(report["sharded"]) == {"ycsb-a"}
-        assert report["sharded"]["ycsb-a"]["2"]["shards"] == 2
+        assert report["sharded"]["ycsb-a"]["4"]["shards"] == 4
+        assert report["sharded"]["ycsb-a"]["4"]["scaling_vs_1"] >= 1.0
         captured = capsys.readouterr()
         assert "sharded" in captured.out
 
@@ -278,11 +301,17 @@ class TestTieredBlock:
         assert "tiered eviction" in text
         assert "demote" in text and "drop" in text
 
-    def test_tiered_smoke_flag(self, capsys):
-        rc = cli_main(["bench-engine", "--tiered-smoke"])
+    def test_tiered_smoke_flag(self, tmp_path, capsys):
+        """``--smoke`` runs the tiered block and checks its ceiling."""
+        from repro.bench.engine_bench import TIERED_DOLLARS_CEILING
+        out = tmp_path / "bench.json"
+        rc = cli_main(["bench-engine", "--smoke", "--out", str(out)])
         assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["tiered"]["dollars_ratio"] <= TIERED_DOLLARS_CEILING
         captured = capsys.readouterr()
-        assert "tiered smoke" in captured.out
+        assert "tiered eviction" in captured.out
+        assert "ceiling" in captured.out
 
 
 class TestWhatifBlock:
